@@ -7,9 +7,7 @@ violation/non-convergence, 2 on malformed input or usage errors.
 ``--json`` switches stdout to a machine-readable report; every JSON
 report carries a run manifest (command, resolved inputs, seed, version,
 wall clock) sufficient to reproduce it. A JSON config file may supply
-any flag (command-line values win). The CONTRACTUM_THREADS variable caps
-internal parallelism and is recorded in the manifest; the current
-implementation is deterministic regardless.
+any flag (command-line values win).
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -54,23 +51,10 @@ _VARIANTS = {
 }
 
 
-def _threads_cap() -> int | None:
-    raw = os.environ.get("CONTRACTUM_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ContractumError(f"CONTRACTUM_THREADS={raw!r} is not an integer")
-    if cap < 1:
-        raise ContractumError(f"CONTRACTUM_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _manifest(args: argparse.Namespace, elapsed: float) -> dict:
     inputs = {}
     for key, value in sorted(vars(args).items()):
-        if key.startswith("_") or key in ("func", "json", "config"):
+        if key in ("func", "json", "config"):
             continue
         if isinstance(value, (str, int, float, bool, type(None), list, tuple)):
             inputs[key] = list(value) if isinstance(value, tuple) else value
@@ -80,7 +64,6 @@ def _manifest(args: argparse.Namespace, elapsed: float) -> dict:
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_clock_s": elapsed,
-        "threads_cap": getattr(args, "_threads_cap", None),
     }
 
 
@@ -605,7 +588,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        args._threads_cap = _threads_cap()
         if args.command == "examples" and args.action in ("run", "export") and not args.name:
             raise ContractumError(f"examples {args.action} needs a fixture name")
         start = time.perf_counter()

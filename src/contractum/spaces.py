@@ -88,7 +88,7 @@ class FiniteSpace:
     def __post_init__(self):
         points = tuple(_canonical_label(p) for p in self.points)
         object.__setattr__(self, "points", points)
-        D = np.asarray(self.dist, dtype=float)
+        D = np.array(self.dist, dtype=float)  # a copy: the caller's array stays as given
         n = len(points)
         if D.shape != (n, n):
             raise MalformedSpaceError(
@@ -162,8 +162,7 @@ class FiniteSpace:
         """Same space with points reordered; useful for invariance checks."""
         order = list(order)
         pts = tuple(self.points[i] for i in order)
-        D = self.dist[np.ix_(order, order)].copy()
-        return FiniteSpace(pts, D)
+        return FiniteSpace(pts, self.dist[np.ix_(order, order)])
 
     # -- serialization ----------------------------------------------------
 
@@ -188,10 +187,7 @@ def _mirror_fill(points: Sequence[str], rows: list[list]) -> np.ndarray:
             if cell is None or (isinstance(cell, str) and not cell.strip()):
                 continue
             D[i, j] = parse_number(cell)
-    for i in range(n):
-        for j in range(n):
-            if np.isnan(D[i, j]) and not np.isnan(D[j, i]):
-                D[i, j] = D[j, i]
+    D = np.where(np.isnan(D), D.T, D)
     missing = np.argwhere(np.isnan(D))
     if missing.size:
         i, j = map(int, missing[0])
@@ -369,23 +365,18 @@ class TaxonomyFlags:
 
 
 def _axiom1_failures(space: FiniteSpace, tol: float) -> tuple[tuple[str, str], ...]:
-    D = space.dist
-    n = len(space.points)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if D[i, j] <= tol:
-                out.append((space.points[i], space.points[j]))
-    return tuple(out)
+    pts = space.points
+    return tuple((pts[i], pts[j]) for i, j in np.argwhere(np.triu(space.dist <= tol, 1)))
 
 
 def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
     """For every ordered pair (i, j): the minimum of
     D[i,u] + D[u,v] + D[v,j] over u != v, both outside {i, j}.
 
-    O(n^3 log n) time, O(n^2) memory. The float associativity matches the
-    scalar rescan in _argmin_quadruples, so minima can be recovered
-    bit-exactly.
+    O(n^3) time, O(n^2) memory. Sums are associated as
+    (D[i,u] + D[u,v]) + D[v,j], the order every witness rescan uses, so a
+    rescanned quadruple attains its pair's minimum bit for bit and ties
+    between quadruples are exact.
     """
     n = D.shape[0]
     idx = np.arange(n)
@@ -395,10 +386,10 @@ def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
         B[idx, idx] = np.inf                  # u == v
         B[i, :] = np.inf                      # u == i
         B[:, i] = np.inf                      # v == i
-        order = np.argsort(B, axis=0)
-        u1 = order[0]
+        u1 = B.argmin(axis=0)
         m1 = B[u1, idx]
-        m2 = B[order[1], idx]
+        B[u1, idx] = np.inf
+        m2 = B.min(axis=0)
         # min over u excluding u == j: runner-up where the argmin is j itself
         best_u = np.where(u1[:, None] == idx[None, :], m2[:, None], m1[:, None])
         E = best_u + D                        # E[v, j] = min_u(...) + D[v, j]
@@ -409,39 +400,29 @@ def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
     return denom
 
 
-def _argmin_quadruples(D: np.ndarray, i: int, j: int) -> list[tuple[int, int, int, int]]:
-    """All (i, u, v, j) quadruples achieving the minimal denominator for
-    the ordered pair (i, j)."""
-    n = D.shape[0]
-    best = np.inf
-    quads: list[tuple[int, int, int, int]] = []
-    for u in range(n):
-        if u == i or u == j:
-            continue
-        a = D[i, u]
-        for v in range(n):
-            if v == i or v == j or v == u:
-                continue
-            total = a + D[u, v] + D[v, j]
-            if total < best:
-                best = total
-                quads = [(i, u, v, j)]
-            elif total == best:
-                quads.append((i, u, v, j))
-    return quads
+def _ratio_matrix(D: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(denom), D / denom, 0.0)
 
 
 def _extremal_quadruple(space: FiniteSpace, D: np.ndarray, ratios: np.ndarray,
                         target: float) -> QuadrilateralWitness | None:
     """Lexicographically smallest quadruple (by point index) among those
-    achieving ratio == target."""
+    achieving ratio == target with their pair's minimal sum."""
     pairs = np.argwhere(ratios == target)
     if pairs.size == 0:
         return None
-    i_min = int(pairs[:, 0].min())
+    n = D.shape[0]
+    idx = np.arange(n)
+    i = int(pairs[0, 0])                      # argwhere is row-major
     candidates: list[tuple[int, int, int, int]] = []
-    for i, j in pairs[pairs[:, 0] == i_min]:
-        candidates.extend(_argmin_quadruples(D, int(i), int(j)))
+    for j in pairs[pairs[:, 0] == i, 1]:
+        S = (D[i][:, None] + D) + D[:, j][None, :]   # S[u, v]
+        S[idx, idx] = np.inf                  # u == v
+        S[[i, j], :] = np.inf                 # u in {i, j}
+        S[:, [i, j]] = np.inf                 # v in {i, j}
+        u, v = np.unravel_index(int(S.argmin()), S.shape)   # first minimum
+        candidates.append((i, int(u), int(v), int(j)))
     qi, qu, qv, qj = min(candidates)
     pts = space.points
     lhs = float(D[qi, qj])
@@ -449,11 +430,44 @@ def _extremal_quadruple(space: FiniteSpace, D: np.ndarray, ratios: np.ndarray,
     return QuadrilateralWitness(pts[qi], pts[qu], pts[qv], pts[qj], lhs, rhs)
 
 
-def _ratio_matrix(D: np.ndarray) -> np.ndarray:
-    denom = _pair_denominator_minima(D)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = np.where(np.isfinite(denom), D / denom, 0.0)
-    return R
+# Sampled quadruples are drawn and evaluated this many at a time, so memory
+# stays bounded whatever the sample count.
+_SAMPLE_BLOCK = 1 << 16
+
+
+def _sample_quadruples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` ordered quadruples of pairwise-distinct indices, uniformly:
+    the k-th index is drawn among the n - k points not yet taken and shifted
+    past the taken ones in ascending order."""
+    picks = np.empty((4, size), dtype=np.intp)
+    for k in range(4):
+        c = rng.integers(0, n - k, size=size)
+        for taken in np.sort(picks[:k], axis=0):
+            c += c >= taken
+        picks[k] = c
+    return picks
+
+
+def _sampled_max_ratio(space: FiniteSpace, sample: int, seed: int
+                       ) -> tuple[float, QuadrilateralWitness | None]:
+    """Maximum ratio over ``sample`` seeded random quadruples and the first
+    draw attaining it."""
+    D = space.dist
+    pts = space.points
+    rng = np.random.default_rng(seed)
+    max_ratio, extremal = 0.0, None
+    for start in range(0, sample, _SAMPLE_BLOCK):
+        i, u, v, j = _sample_quadruples(rng, len(pts), min(_SAMPLE_BLOCK, sample - start))
+        denom = (D[i, u] + D[u, v]) + D[v, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = D[i, j] / denom
+        ratio[np.isnan(ratio)] = -np.inf      # a NaN never becomes the maximum
+        k = int(ratio.argmax())
+        if ratio[k] > max_ratio:
+            max_ratio = float(ratio[k])
+            extremal = QuadrilateralWitness(pts[i[k]], pts[u[k]], pts[v[k]], pts[j[k]],
+                                            float(D[i[k], j[k]]), float(denom[k]))
+    return max_ratio, extremal
 
 
 def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
@@ -489,34 +503,21 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
             f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS}); "
             f"pass sample=<count> to check a random subset of quadruples")
 
-    D = space.dist
     if sample is None:
-        ratios = _ratio_matrix(D)
+        D = space.dist
+        ratios = _ratio_matrix(D, _pair_denominator_minima(D))
         max_ratio = float(ratios.max())
         extremal = _extremal_quadruple(space, D, ratios, max_ratio)
-        exhaustive = True
     else:
         if sample < 1:
             raise ValueError("sample count must be >= 1")
-        rng = np.random.default_rng(seed)
-        max_ratio = 0.0
-        extremal = None
-        pts = space.points
-        for _ in range(sample):
-            i, u, v, j = (int(k) for k in rng.choice(n, size=4, replace=False))
-            denom = D[i, u] + D[u, v] + D[v, j]
-            ratio = D[i, j] / denom
-            if ratio > max_ratio:
-                max_ratio = ratio
-                extremal = QuadrilateralWitness(pts[i], pts[u], pts[v], pts[j],
-                                                float(D[i, j]), float(denom))
-        exhaustive = False
+        max_ratio, extremal = _sampled_max_ratio(space, sample, seed)
 
     holds = max_ratio <= s + tol
     return CoefficientReport(
         requested_s=s, holds=holds, minimal_s=max(1.0, max_ratio),
         witness=None if holds else extremal,
-        exhaustive=exhaustive, max_ratio=max_ratio, extremal=extremal,
+        exhaustive=sample is None, max_ratio=max_ratio, extremal=extremal,
         axiom1_failures=axiom1)
 
 
@@ -538,7 +539,8 @@ def minimal_coefficient(space: FiniteSpace, *, tol: float = DEFAULT_TOL) -> floa
     if n > MAX_EXHAUSTIVE_POINTS:
         raise ValueError(
             f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
-    return max(1.0, float(_ratio_matrix(space.dist).max()))
+    D = space.dist
+    return max(1.0, float(_ratio_matrix(D, _pair_denominator_minima(D)).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -574,25 +576,26 @@ def _triangle_violations(D: np.ndarray, tol: float, limit: int):
     return found, max_ratio
 
 
-def _quadrilateral_violations(D: np.ndarray, s: float, tol: float, limit: int):
-    """Ordered quadruples (x, u, v, y) violating the s-relaxed inequality,
-    in lexicographic index order, truncated at ``limit``."""
+def _quadrilateral_violations(D: np.ndarray, flagged: np.ndarray, tol: float,
+                              limit: int):
+    """Ordered quadruples (x, u, v, y) with d(x,y) > d(x,u) + d(u,v) + d(v,y)
+    + tol, in lexicographic index order, truncated at ``limit``. Only the
+    pairs ``flagged`` by their three-hop minimum are rescanned, one (x, u)
+    at a time."""
     n = D.shape[0]
-    idx = np.arange(n)
     found: list[tuple[int, int, int, int]] = []
-    for x in range(n):
-        B = D[x][:, None] + D                       # B[u, v]
-        T3 = B[:, :, None] + D[None, :, :]          # T3[u, v, y]
-        V = D[x][None, None, :] > s * T3 + tol
-        V[idx, idx, :] = False                      # u == v
-        V[x, :, :] = False                          # u == x
-        V[:, x, :] = False                          # v == x
-        V[:, :, x] = False                          # y == x
-        V[idx, :, idx] = False                      # y == u
-        V[:, idx, idx] = False                      # y == v
-        if V.any():
-            for u, v, y in np.argwhere(V):
-                found.append((x, int(u), int(v), int(y)))
+    for x in np.flatnonzero(flagged.any(axis=1)):
+        ys = np.flatnonzero(flagged[x])
+        for u in range(n):
+            if u == x:
+                continue
+            T = (D[x, u] + D[u][:, None]) + D[:, ys]   # T[v, k], y = ys[k]
+            V = D[x, ys][None, :] > T + tol
+            V[[x, u], :] = False                        # v in {x, u}
+            V[ys, np.arange(len(ys))] = False           # v == y
+            V[:, ys == u] = False                       # y == u
+            for v, k in np.argwhere(V):
+                found.append((int(x), u, int(v), int(ys[k])))
                 if len(found) >= limit:
                     return found
     return found
@@ -617,14 +620,16 @@ def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
         if n > MAX_EXHAUSTIVE_POINTS:
             raise ValueError(
                 f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
-        quad = _quadrilateral_violations(D, 1.0, tol, max_witnesses)
+        denom = _pair_denominator_minima(D)
+        flagged = D > denom + tol
+        quad = _quadrilateral_violations(D, flagged, tol, max_witnesses)
         quad_witnesses = tuple(
             QuadrilateralWitness(pts[x], pts[u], pts[v], pts[y],
                                  float(D[x, y]),
                                  float(D[x, u] + D[u, v] + D[v, y]))
             for x, u, v, y in quad)
-        b_rect = max(1.0, float(_ratio_matrix(D).max()))
-        is_rect = not quad
+        b_rect = max(1.0, float(_ratio_matrix(D, denom).max()))
+        is_rect = not flagged.any()
     else:
         quad_witnesses = ()
         b_rect = None

@@ -182,15 +182,6 @@ class TestConfig:
         assert code == 1
         assert out["manifest"]["inputs"]["s"] == 1.0
 
-    def test_threads_cap_recorded(self, space_file, capsys, monkeypatch):
-        monkeypatch.setenv("CONTRACTUM_THREADS", "4")
-        _, out = run_json(capsys, ["validate-space", str(space_file), "--s", "3"])
-        assert out["manifest"]["threads_cap"] == 4
-
-    def test_bad_threads_cap(self, space_file, monkeypatch):
-        monkeypatch.setenv("CONTRACTUM_THREADS", "zero")
-        assert dispatch(["validate-space", str(space_file), "--s", "3"]) == 2
-
 
 class TestExamplesRunners:
     @pytest.mark.parametrize("name", ["example-2.2", "example-3.4",

@@ -7,6 +7,7 @@ implementation paths they check).
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from contractum.errors import MalformedSpaceError
 from contractum.fixtures import EXAMPLE_2_2, EXAMPLE_3_4
 from contractum.spaces import (
+    _SAMPLE_BLOCK,
     FiniteSpace,
+    _sample_quadruples,
     classify_space,
     load_space,
     minimal_coefficient,
@@ -44,6 +47,25 @@ def oracle_max_ratio(D):
     return best, best_quad
 
 
+def oracle_witnesses(D, limit=8, tol=1e-12):
+    """The first ``limit`` quadruples violating the s = 1 inequality, in
+    lexicographic index order, and the extremal quadruple as
+    CoefficientReport defines it: the lexicographically smallest one among
+    the pairs of maximal ratio, taken with its pair's minimal sum."""
+    n = D.shape[0]
+    quads = list(itertools.permutations(range(n), 4))
+    total = {q: (D[q[0], q[1]] + D[q[1], q[2]]) + D[q[2], q[3]] for q in quads}
+    violations = [q for q in quads if D[q[0], q[3]] > total[q] + tol][:limit]
+    denom = {}
+    for (i, u, v, j), t in total.items():
+        denom[i, j] = min(denom.get((i, j), np.inf), t)
+    best = max(D[i, j] / d for (i, j), d in denom.items())
+    extremal = next(q for q in quads
+                    if D[q[0], q[3]] / denom[q[0], q[3]] == best
+                    and total[q] == denom[q[0], q[3]])
+    return violations, extremal
+
+
 def oracle_triangle_ok(D, tol=1e-12):
     n = D.shape[0]
     for x, z, y in itertools.permutations(range(n), 3):
@@ -56,6 +78,31 @@ def random_symmetric_table(rng, n, lo=0.05, hi=2.0):
     M = rng.uniform(lo, hi, size=(n, n))
     D = np.triu(M, 1)
     return D + D.T
+
+
+def integer_table(rng, n):
+    """Small integer distances: many tied sums and tied ratios."""
+    D = np.triu(rng.integers(1, 5, size=(n, n)).astype(float), 1)
+    return D + D.T
+
+
+def inflated_line_table(rng, n, inflated=2):
+    """|x_i - x_j| on a line with a few entries stretched, so only some
+    pairs break the s = 1 inequality."""
+    x = rng.uniform(0.0, 1.0, n)
+    D = np.abs(x[:, None] - x[None, :])
+    for a, b in rng.choice(n, size=(inflated, 2)):
+        if a != b:
+            D[a, b] = D[b, a] = 2.5 * D[a, b]
+    return D
+
+
+TABLE_KINDS = {"integer": integer_table, "uniform": random_symmetric_table,
+               "inflated_line": inflated_line_table}
+
+
+def labeled(D):
+    return FiniteSpace(tuple(str(i) for i in range(len(D))), D)
 
 
 def euclidean_space(points_2d):
@@ -101,6 +148,14 @@ class TestFiniteSpace:
     def test_values_parse_labels(self):
         sp = FiniteSpace.from_table(["1/2", "x"], [[0, 1], [1, 0]])
         assert sp.values == (0.5, None)
+
+    def test_callers_array_is_left_alone(self):
+        D = np.array([[1e-13, 1.0], [1.0, 0.0]])
+        sp = FiniteSpace(("a", "b"), D)
+        assert D[0, 0] == 1e-13
+        assert D.flags.writeable
+        assert sp.dist is not D
+        assert sp.dist[0, 0] == 0.0 and not sp.dist.flags.writeable
 
     def test_json_roundtrip(self, tmp_path):
         sp = EXAMPLE_3_4.space(grid=0)
@@ -212,13 +267,44 @@ class TestValidateSpace:
             validate_space(EXAMPLE_3_4.space(grid=0), 0.5)
 
     def test_sampled_mode_is_deterministic(self):
-        space = EXAMPLE_2_2.space(grid=16)
-        a = validate_space(space, 3.0, sample=500, seed=7)
-        b = validate_space(space, 3.0, sample=500, seed=7)
-        assert a.max_ratio == b.max_ratio
-        assert not a.exhaustive
-        # a sampled maximum is a lower bound for the exhaustive one
-        assert a.max_ratio <= validate_space(space, 3.0).max_ratio
+        n4 = labeled(random_symmetric_table(np.random.default_rng(4), 4))
+        n12 = labeled(random_symmetric_table(np.random.default_rng(5), 12))
+        cases = [(EXAMPLE_2_2.space(grid=16), 500),
+                 (n4, 300),                 # distinct draws collide most often
+                 (n4, 2 * _SAMPLE_BLOCK + 5),
+                 (n12, _SAMPLE_BLOCK + 1000)]
+        for (space, sample), s in itertools.product(cases, (1.0, 3.0)):
+            a = validate_space(space, s, sample=sample, seed=7)
+            b = validate_space(space, s, sample=sample, seed=7)
+            assert a.to_dict() == b.to_dict()
+            assert not a.exhaustive
+            w = a.extremal
+            assert len({w.x, w.u, w.v, w.y}) == 4
+            assert w.ratio == a.max_ratio
+            assert (a.witness is not None) == (not a.holds)
+            if a.witness is not None:
+                assert a.witness == w
+            # the draws come from one generator, a block at a time, and
+            # extremal is the first of them attaining the maximum
+            D, pts = space.dist, space.points
+            rng = np.random.default_rng(7)
+            i, u, v, j = np.concatenate(
+                [_sample_quadruples(rng, len(pts), min(_SAMPLE_BLOCK, sample - k))
+                 for k in range(0, sample, _SAMPLE_BLOCK)], axis=1)
+            ratios = D[i, j] / ((D[i, u] + D[u, v]) + D[v, j])
+            first = np.flatnonzero(ratios == a.max_ratio)[0]
+            assert (w.x, w.u, w.v, w.y) == tuple(pts[k[first]] for k in (i, u, v, j))
+            # a sampled maximum is a lower bound for the exhaustive one
+            assert a.max_ratio <= validate_space(space, s).max_ratio
+
+    def test_sampled_quadruples_are_distinct_and_uniform(self):
+        picks = _sample_quadruples(np.random.default_rng(0), 4, 24_000)
+        quads = [tuple(q) for q in picks.T.tolist()]
+        assert all(len(set(q)) == 4 for q in quads)
+        counts = {q: quads.count(q) for q in set(quads)}
+        assert len(counts) == 24
+        # 1000 expected per ordered quadruple, standard deviation about 31
+        assert all(850 < c < 1150 for c in counts.values())
 
     def test_fewer_than_four_points_vacuous(self):
         sp = FiniteSpace.from_table(["a", "b", "c"],
@@ -257,6 +343,38 @@ class TestClassifySpace:
         assert (w.x, w.u, w.v, w.y) == ("1/2", "0", "1/3", "1/4")
         assert w.lhs == pytest.approx(0.25, abs=1e-12)
         assert w.rhs == pytest.approx(0.24, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+    def test_witnesses_match_oracle_order(self, kind, n):
+        D = TABLE_KINDS[kind](np.random.default_rng(10 * n), n)
+        sp = labeled(D)
+        violations, extremal = oracle_witnesses(D)
+        flags = classify_space(sp)
+        got = [tuple(int(p) for p in (w.x, w.u, w.v, w.y))
+               for w in flags.quadrilateral_witnesses]
+        assert got == violations
+        assert flags.is_rectangular == (not violations)
+        w = validate_space(sp, 1.0).extremal
+        assert tuple(int(p) for p in (w.x, w.u, w.v, w.y)) == extremal
+
+    def test_classify_memory_stays_quadratic(self):
+        x = np.random.default_rng(200).uniform(0.0, 10.0, 200)
+        sp = labeled(np.abs(x[:, None] - x[None, :]) ** 1.75)
+        tracemalloc.start()
+        try:
+            flags = classify_space(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not flags.is_rectangular
+        assert peak < 16e6
+
+    def test_line_metric_is_rectangular(self):
+        x = np.random.default_rng(60).uniform(0.0, 1.0, 60)
+        flags = classify_space(labeled(np.abs(x[:, None] - x[None, :])))
+        assert flags.is_rectangular
+        assert flags.quadrilateral_witnesses == ()
 
     def test_absolute_value_metric(self):
         vals = [0.0, 1.0, 2.0, 3.0]
