@@ -314,7 +314,7 @@ def _cmd_solve_integral(args) -> tuple[int, dict, list[str]]:
         x0 = float(Fraction(args.x0))
     except (ValueError, ZeroDivisionError):
         profile = compile_expression(args.x0, ("t",))
-        x0 = np.array([profile(t) for t in grid])
+        x0 = np.array(profile(grid))
     config = IterationConfig(tol=args.tol, max_iter=args.max_iter)
     solution = solve(problem, config, x0=x0)
     result = solution.result

@@ -174,8 +174,9 @@ SPACE_FIXTURES: dict[str, ExampleFixture] = {
 SIN_KERNEL_SCALE = math.exp(-1.0) * 3.0 ** (-5.0)
 
 
-def sin_kernel(t: float, r: float, x: float) -> float:
-    return SIN_KERNEL_SCALE * math.sin(x)
+def sin_kernel(t, r, x):
+    """Takes floats or numpy arrays."""
+    return SIN_KERNEL_SCALE * np.sin(x)
 
 
 def integral_sin_problem(m: int = 65, lam: float | None = None,

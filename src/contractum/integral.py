@@ -7,6 +7,10 @@ b-rectangular metric space with coefficient derived from s. The operator
 is a contraction (and the solution unique) when the kernel satisfies a
 Lipschitz-type bound in its third argument and |lambda| (b - a) <= e^(-s);
 both hypotheses are checkable here, the kernel one only by sampling.
+
+The operator is applied in Nystrom matrix form: the kernel is evaluated
+once on the (t, r) mesh of the grid, in row blocks, and each row is
+summed against the quadrature weights.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import NumericError
 from .picard import FixedPointResult, IterationConfig, iterate
@@ -26,19 +29,29 @@ GridFunction = np.ndarray
 
 DEFAULT_SOLVER_TOL = 1e-10  # on the powered metric: keeps s-th powers meaningful
 
+# kernel values per block of mesh rows: bounds the operator's memory for
+# any grid size, and holds a whole m <= 512 mesh in one block
+_MESH_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class IntegralProblem:
     """Interval, strength, kernel, coefficient, and grid resolution.
 
-    The kernel is a scalar callable K(t, r, x). Quadrature is composite
-    trapezoid by default; "simpson" is available when m is odd.
+    The kernel is a callable K(t, r, x). It is called once per block of
+    mesh rows with numpy arrays (t a column, r and x rows) and returns
+    values of their broadcast shape or anything that broadcasts to it,
+    such as a scalar; a compiled expression does this. A callable that
+    raises TypeError or ValueError on arrays, such as one using ``math``
+    functions or an ``if`` on x, is called once per element instead, in
+    row-major order. Quadrature is composite trapezoid by default;
+    "simpson" is available when m is odd.
     """
 
     a: float
     b: float
     lam: float
-    kernel: Callable[[float, float, float], float]
+    kernel: Callable
     s: float
     m: int = 65
     quadrature: str = "trapezoid"
@@ -62,10 +75,21 @@ class IntegralProblem:
         """The powered sup metric (max |x_i - y_i|)^s."""
         return float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) ** self.s
 
-    def _integrate(self, values: np.ndarray, grid: np.ndarray) -> float:
-        if self.quadrature == "simpson" and len(grid) % 2 == 1:
-            return float(simpson(values, x=grid))
-        return float(np.trapezoid(values, grid))
+    def weights(self, m: int | None = None) -> np.ndarray:
+        """Composite quadrature weights on the m-point grid: h/2, h, ..., h,
+        h/2 for trapezoid, h/3 * (1, 4, 2, 4, ..., 2, 4, 1) for Simpson."""
+        m = self.m if m is None else m
+        h = (self.b - self.a) / (m - 1)
+        if self.quadrature == "trapezoid":
+            w = np.full(m, h)
+            w[[0, -1]] = h / 2
+            return w
+        if m % 2 == 0:
+            raise ValueError(f"composite Simpson needs an odd grid size, got {m}")
+        w = np.full(m, 2 * h / 3)
+        w[1::2] = 4 * h / 3
+        w[[0, -1]] = h / 3
+        return w
 
 
 def lambda_bound(a: float, b: float, s: float) -> float:
@@ -79,8 +103,8 @@ def lambda_bound(a: float, b: float, s: float) -> float:
 
 def kernel_condition_rhs(s: float, gap: float) -> float:
     """The admissible kernel increment for |x - y| = gap:
-    s^-(2+s) * e^(-1/(gap+1)) * gap."""
-    return s ** (-(2.0 + s)) * math.exp(-1.0 / (gap + 1.0)) * gap
+    s^-(2+s) * e^(-1/(gap+1)) * gap. gap may be an array."""
+    return s ** (-(2.0 + s)) * np.exp(-1.0 / (gap + 1.0)) * gap
 
 
 @dataclass
@@ -104,45 +128,57 @@ class KernelConditionReport:
                     for t, r, x, y, lhs, rhs in self.violations]}
 
 
-def default_kernel_sampler(problem: IntegralProblem,
-                           value_range: tuple[float, float] = (-3.0, 3.0)):
-    """Uniform (t, r) over the interval and (x, y) over value_range, with
-    x != y enforced by redraw."""
-    lo, hi = value_range
-
-    def draw(rng: np.random.Generator):
-        t = float(rng.uniform(problem.a, problem.b))
-        r = float(rng.uniform(problem.a, problem.b))
-        x = float(rng.uniform(lo, hi))
-        y = float(rng.uniform(lo, hi))
-        while y == x:
-            y = float(rng.uniform(lo, hi))
-        return t, r, x, y
-
-    return draw
+def _kernel_values(kernel, t: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K(t, r, x) over the broadcast arrays. A callable that cannot take
+    arrays is applied element by element, in row-major order."""
+    try:
+        values = kernel(t, r, x)
+    except (TypeError, ValueError):
+        values = np.vectorize(kernel, otypes=[float])(t, r, x)
+    return np.broadcast_to(values, np.broadcast_shapes(t.shape, r.shape, x.shape))
 
 
-def verify_kernel_condition(problem: IntegralProblem, sampler=None,
-                            n: int = 1000, seed: int = 0) -> KernelConditionReport:
+def verify_kernel_condition(problem: IntegralProblem, n: int = 1000,
+                            seed: int = 0) -> KernelConditionReport:
     """Check |K(t,r,x) - K(t,r,y)| <= s^-(2+s) e^(-1/(|x-y|+1)) |x-y| on
-    ``n`` sampled tuples with x != y. The report is advisory."""
+    ``n`` sampled tuples: (t, r) uniform over the interval, x != y uniform
+    over [-3, 3]. The tuples are drawn in one block, t, r, x, y for each
+    sample in turn, and a y equal to its x is redrawn. The report is
+    advisory."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if sampler is None:
-        sampler = default_kernel_sampler(problem)
+    lo, hi = -3.0, 3.0
     rng = np.random.default_rng(seed)
-    violations = []
-    for _ in range(n):
-        t, r, x, y = sampler(rng)
-        kx = problem.kernel(t, r, x)
-        ky = problem.kernel(t, r, y)
-        if math.isnan(kx) or math.isnan(ky):
-            raise NumericError(f"kernel returned NaN", where=(t, r, x, y))
-        lhs = abs(kx - ky)
-        rhs = kernel_condition_rhs(problem.s, abs(x - y))
-        if lhs > rhs + 1e-12:
-            violations.append((t, r, x, y, lhs, rhs))
-    return KernelConditionReport(checked=n, violations=violations)
+    draw = rng.uniform((problem.a, problem.a, lo, lo), (problem.b, problem.b, hi, hi),
+                       size=(n, 4))
+    xy = draw[:, 2:]
+    clash = np.flatnonzero(xy[:, 0] == xy[:, 1])
+    while clash.size:
+        xy[clash, 1] = rng.uniform(lo, hi, size=clash.size)
+        clash = clash[xy[clash, 0] == xy[clash, 1]]
+    # K(t, r, x) then K(t, r, y) for each sample in turn: row-major order
+    k = _kernel_values(problem.kernel, draw[:, 0:1], draw[:, 1:2], xy)
+    nan = np.flatnonzero(np.isnan(k).any(axis=1))
+    if nan.size:
+        raise NumericError("kernel returned NaN", where=tuple(draw[nan[0]].tolist()))
+    lhs = np.abs(k[:, 0] - k[:, 1])
+    rhs = kernel_condition_rhs(problem.s, np.abs(xy[:, 0] - xy[:, 1]))
+    hit = np.flatnonzero(lhs > rhs + 1e-12)
+    rows = np.column_stack([draw[hit], lhs[hit], rhs[hit]]).tolist()
+    return KernelConditionReport(checked=n, violations=[tuple(row) for row in rows])
+
+
+def _nystrom(problem: IntegralProblem, grid: np.ndarray, x: GridFunction) -> GridFunction:
+    """lambda * sum_j w_j K(t_i, r_j, x_j) at every node t_i of ``grid``,
+    with the problem's quadrature weights on that grid."""
+    m = len(grid)
+    w = problem.weights(m)
+    r, xr = grid[None, :], x[None, :]
+    rows = max(1, _MESH_BLOCK // m)
+    out = np.empty(m)
+    for i in range(0, m, rows):
+        out[i:i + rows] = _kernel_values(problem.kernel, grid[i:i + rows, None], r, xr) @ w
+    return problem.lam * out
 
 
 def apply_operator(problem: IntegralProblem, x: GridFunction) -> GridFunction:
@@ -152,15 +188,11 @@ def apply_operator(problem: IntegralProblem, x: GridFunction) -> GridFunction:
     grid = problem.grid()
     if x.shape != grid.shape:
         raise ValueError(f"grid function has length {x.shape}, expected {grid.shape}")
-    K = problem.kernel
-    out = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        integrand = np.array([K(t, r, xr) for r, xr in zip(grid, x)])
-        out[i] = problem.lam * problem._integrate(integrand, grid)
-    if np.isnan(out).any():
-        bad = int(np.argwhere(np.isnan(out))[0])
-        raise NumericError(f"operator value is NaN at t={grid[bad]!r}",
-                           where=(grid[bad],))
+    out = _nystrom(problem, grid, x)
+    nan = np.flatnonzero(np.isnan(out))
+    if nan.size:
+        t = float(grid[nan[0]])
+        raise NumericError(f"operator value is NaN at t={t!r}", where=(t,))
     return out
 
 
@@ -232,10 +264,4 @@ def refined_residual(problem: IntegralProblem, values: GridFunction,
     m_fine = refine * (problem.m - 1) + 1
     fine = problem.grid(m_fine)
     x_fine = np.interp(fine, coarse, values)
-    K = problem.kernel
-    worst = 0.0
-    for i, t in enumerate(fine):
-        integrand = np.array([K(t, r, xr) for r, xr in zip(fine, x_fine)])
-        lhs = x_fine[i] - problem.lam * problem._integrate(integrand, fine)
-        worst = max(worst, abs(float(lhs)))
-    return worst
+    return float(np.max(np.abs(x_fine - _nystrom(problem, fine, x_fine))))

@@ -74,8 +74,8 @@ def _canonical_label(point) -> str:
 class FiniteSpace:
     """A labeled point set with a symmetric nonnegative distance table.
 
-    Structural requirements (square shape, symmetry, nonnegative entries,
-    zero diagonal) are enforced at construction and raise
+    Structural requirements (square shape, finite entries, symmetry,
+    nonnegative entries, zero diagonal) are enforced at construction and raise
     MalformedSpaceError naming the offending pair. The remaining axiom,
     "zero distance only between identical points", is *checked* by
     validate_space / classify_space and reported in-band rather than
@@ -95,6 +95,12 @@ class FiniteSpace:
                 f"distance table shape {D.shape} does not match {n} points")
         if len(set(points)) != n:
             raise MalformedSpaceError("point labels must be unique")
+        nonfinite = np.argwhere(~np.isfinite(D))
+        if nonfinite.size:
+            i, j = map(int, nonfinite[0])
+            raise MalformedSpaceError(
+                f"non-finite distance {float(D[i, j])!r} at ({points[i]!r}, {points[j]!r})",
+                pair=(points[i], points[j]))
         for i in range(n):
             if abs(D[i, i]) > DEFAULT_TOL:
                 raise MalformedSpaceError(
@@ -114,11 +120,6 @@ class FiniteSpace:
             raise MalformedSpaceError(
                 f"negative distance {float(D[i, j])!r} at "
                 f"({points[i]!r}, {points[j]!r})", pair=(points[i], points[j]))
-        if np.isnan(D).any():
-            i, j = map(int, np.argwhere(np.isnan(D))[0])
-            raise MalformedSpaceError(
-                f"NaN distance at ({points[i]!r}, {points[j]!r})",
-                pair=(points[i], points[j]))
         D.flags.writeable = False
         object.__setattr__(self, "dist", D)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
@@ -186,7 +187,12 @@ def _mirror_fill(points: Sequence[str], rows: list[list]) -> np.ndarray:
                 raise MalformedSpaceError(f"row {i} has too many entries")
             if cell is None or (isinstance(cell, str) and not cell.strip()):
                 continue
-            D[i, j] = parse_number(cell)
+            value = parse_number(cell)
+            if value != value:  # NaN marks a missing cell below, so reject it here
+                raise MalformedSpaceError(
+                    f"non-finite distance nan at ({points[i]!r}, {points[j]!r})",
+                    pair=(points[i], points[j]))
+            D[i, j] = value
     D = np.where(np.isnan(D), D.T, D)
     missing = np.argwhere(np.isnan(D))
     if missing.size:

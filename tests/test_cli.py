@@ -166,6 +166,34 @@ class TestReports:
                          "--kernel", "ln(x - 10)", "--m", "9",
                          "--x0", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--domain", "interval:-1,1", "--map", "x^0.5", "--x0", "-0.5"],
+        ["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.1", "--s", "3",
+         "--kernel", "x^0.5 - 1", "--m", "9", "--x0", "-0.5"],
+    ])
+    def test_fractional_power_of_negative_base_is_input_error(self, argv, capsys):
+        # Python makes (-0.5)^0.5 complex; it must not escape as a traceback
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "x=-0.5" in err and "complex" in err
+
+    @pytest.mark.parametrize("command", ["validate-space", "classify"])
+    def test_non_finite_distance_is_malformed(self, command, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"points": ["a", "b", "c", "d", "e"], "distances": '
+                        '[[0, 1, 1, 1, Infinity], [1, 0, 1, 1, 1], [1, 1, 0, 1, 1], '
+                        '[1, 1, 1, 0, 1], [Infinity, 1, 1, 1, 0]]}')
+        argv = [command, str(path)] + (["--s", "1"] if command == "validate-space" else [])
+        assert dispatch(argv) == 2
+        assert "non-finite distance inf at ('a', 'e')" in capsys.readouterr().err
+
+    def test_solve_integral_profile_start(self, capsys):
+        code, out = run_json(capsys, [
+            "solve-integral", "--a", "0", "--b", "1", "--lambda", "0.01", "--s", "3",
+            "--kernel", "exp(-1) * 3^(-5) * sin(x)", "--m", "9", "--x0", "pi + t"])
+        assert code == 0
+        assert out["report"]["result"]["status"] == "converged"
+
 
 class TestConfig:
     def test_config_supplies_required_flag(self, space_file, tmp_path):

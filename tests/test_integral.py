@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from contractum.errors import NumericError
+from contractum.errors import ExpressionError, NumericError
+from contractum.expressions import compile_expression
 from contractum.fixtures import SIN_KERNEL_SCALE, integral_sin_problem, sin_kernel
 from contractum.integral import (
     IntegralProblem,
@@ -184,3 +186,143 @@ def test_grid_refinement_shrinks_changes_at_quadrature_order():
     d1 = float(np.max(np.abs(sols[17] - sols[33][::2])))
     d2 = float(np.max(np.abs(sols[33] - sols[65][::2])))
     assert d2 < d1 / 1.8  # at least first order; trapezoid gives ~4x
+
+
+# -- the Nystrom operator against a pure-Python double loop --------------------
+
+
+def oracle_operator(problem, grid, x):
+    """lambda * Q(K(t, ., x(.))) at every t of ``grid`` by explicit composite
+    sums, one scalar kernel call per (t, r)."""
+    m = len(grid)
+    h = (problem.b - problem.a) / (m - 1)
+    out = []
+    for t in grid:
+        f = [problem.kernel(t, r, xr) for r, xr in zip(grid, x)]
+        if problem.quadrature == "trapezoid":
+            q = h * (sum(f) - (f[0] + f[-1]) / 2)
+        else:
+            q = h / 3 * (f[0] + f[-1] + 4 * sum(f[1:-1:2]) + 2 * sum(f[2:-1:2]))
+        out.append(problem.lam * q)
+    return out
+
+
+def oracle_refined_residual(problem, values):
+    coarse = problem.grid()
+    fine = problem.grid(2 * problem.m - 1)
+    x = np.interp(fine, coarse, values).tolist()
+    op = oracle_operator(problem, fine.tolist(), x)
+    return max(abs(xi - oi) for xi, oi in zip(x, op))
+
+
+ORACLE_KERNELS = {
+    "expression": compile_expression("0.6*sin(x)*cos(t-r) + t*r", ("t", "r", "x")),
+    "constant": compile_expression("0.5", ("t", "r", "x")),
+    "x-only": compile_expression("sin(x)", ("t", "r", "x")),
+    "gaussian": compile_expression("x*exp(-(t-r)^2) + 0.5", ("t", "r", "x")),
+    "math-lambda": lambda t, r, x: SIN_KERNEL_SCALE * math.sin(x + t * r),
+    "if-lambda": lambda t, r, x: x * r if x > 0 else 0.5 * x - t,
+}
+
+
+class TestNystromOracle:
+    @pytest.mark.parametrize("name", ORACLE_KERNELS)
+    @pytest.mark.parametrize("m, quadrature", [(9, "trapezoid"), (33, "trapezoid"),
+                                               (9, "simpson"), (33, "simpson")])
+    def test_operator_and_refined_residual(self, name, m, quadrature):
+        prob = IntegralProblem(a=-0.5, b=1.5, lam=0.7, kernel=ORACLE_KERNELS[name], s=3,
+                               m=m, quadrature=quadrature)
+        x = np.sin(3 * prob.grid()) + 0.3
+        want = oracle_operator(prob, prob.grid().tolist(), x.tolist())
+        assert apply_operator(prob, x) == pytest.approx(np.array(want), rel=1e-13, abs=1e-15)
+        assert refined_residual(prob, x) == pytest.approx(
+            oracle_refined_residual(prob, x), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [3, 5, 9, 65])
+    def test_weights_are_the_composite_rules(self, m):
+        h = 2.0 / (m - 1)
+        trap = IntegralProblem(a=-1, b=1, lam=0.1, kernel=sin_kernel, s=3, m=m).weights()
+        assert trap.tolist() == pytest.approx([h / 2] + [h] * (m - 2) + [h / 2], rel=1e-15)
+        simp = IntegralProblem(a=-1, b=1, lam=0.1, kernel=sin_kernel, s=3, m=m,
+                               quadrature="simpson").weights()
+        inner = [4 * h / 3 if i % 2 else 2 * h / 3 for i in range(1, m - 1)]
+        assert simp.tolist() == pytest.approx([h / 3] + inner + [h / 3], rel=1e-15)
+        # Simpson is exact for cubics on [-1, 1]
+        t = np.linspace(-1, 1, m)
+        assert simp @ t ** 2 == pytest.approx(2 / 3, rel=1e-14)
+        assert simp @ t ** 3 == pytest.approx(0.0, abs=1e-15)
+
+    def test_names_the_loops_first_failure(self):
+        prob = IntegralProblem(a=0, b=1, lam=0.1, s=3, m=17,
+                               kernel=compile_expression("ln(x - t*r)", ("t", "r", "x")))
+        x = np.full(17, 0.25)
+        with pytest.raises(ExpressionError) as want:
+            oracle_operator(prob, prob.grid().tolist(), x.tolist())
+        with pytest.raises(ExpressionError) as got:
+            apply_operator(prob, x)
+        assert str(got.value) == str(want.value)
+        assert "t=0.25, r=1.0, x=0.25" in str(got.value)
+
+    def test_nan_value_names_the_first_t(self):
+        prob = IntegralProblem(a=0, b=1, lam=0.1, s=3, m=9,
+                               kernel=lambda t, r, x: math.nan if t > 0.5 else 1.0)
+        with pytest.raises(NumericError) as exc:
+            apply_operator(prob, np.zeros(9))
+        assert exc.value.where == (0.625,)
+
+    def test_memory_is_bounded_by_row_blocks(self):
+        # one full mesh of kernel values at m = 2049 is m * m * 8 bytes = 33.6 MB
+        m = 2049
+        prob = IntegralProblem(a=0, b=1, lam=0.5, s=3, m=m, kernel=compile_expression(
+            "0.6*sin(x)*cos(t-r) + t*r", ("t", "r", "x")))
+        x = np.sin(prob.grid())
+        tracemalloc.start()
+        try:
+            out = apply_operator(prob, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.all(np.isfinite(out))
+
+
+def old_kernel_sample(a, b, n, seed, lo=-3.0, hi=3.0):
+    """The kernel check's former draw: t, r, x, y one scalar at a time,
+    redrawing y while it equals x."""
+    rng = np.random.default_rng(seed)
+    sample = []
+    for _ in range(n):
+        t, r = float(rng.uniform(a, b)), float(rng.uniform(a, b))
+        x, y = float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))
+        while y == x:
+            y = float(rng.uniform(lo, hi))
+        sample.append((t, r, x, y))
+    return sample
+
+
+class TestKernelCheckSample:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sample_is_the_scalar_draw(self, seed):
+        # every tuple violates a kernel this steep, so the report lists the sample
+        prob = IntegralProblem(a=-0.5, b=2.0, lam=0.1, kernel=lambda t, r, x: 1e6 * x,
+                               s=3, m=9)
+        rep = verify_kernel_condition(prob, n=300, seed=seed)
+        assert [v[:4] for v in rep.violations] == old_kernel_sample(-0.5, 2.0, 300, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_first_failure_is_the_scalar_loops(self, seed):
+        # K(t, r, x) then K(t, r, y), sample by sample
+        k = compile_expression("ln(x + 2.9 - t)", ("t", "r", "x"))
+        prob = IntegralProblem(a=0, b=1, lam=0.1, kernel=k, s=3, m=9)
+        first = None
+        for t, r, x, y in old_kernel_sample(0.0, 1.0, 200, seed):
+            try:
+                k(t, r, x)
+                k(t, r, y)
+            except ExpressionError as exc:
+                first = str(exc)
+                break
+        assert first is not None
+        with pytest.raises(ExpressionError) as exc:
+            verify_kernel_condition(prob, n=200, seed=seed)
+        assert str(exc.value) == first

@@ -6,6 +6,7 @@ implementation paths they check).
 """
 
 import itertools
+import math
 import json
 import tracemalloc
 
@@ -188,6 +189,14 @@ class TestFiniteSpace:
     def test_unparseable_entry(self):
         with pytest.raises(MalformedSpaceError):
             FiniteSpace.from_table(["a", "b"], [[0, "wat"], ["wat", 0]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_names_its_pair(self, value):
+        # a NaN cell is an entry, not a blank to be mirrored from (d, a)
+        rows = [[0, 1, 2, value], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
+        with pytest.raises(MalformedSpaceError) as exc:
+            space_from_json({"points": ["a", "b", "c", "d"], "distances": rows})
+        assert exc.value.pair == ("a", "d")
 
     def test_json_missing_keys(self):
         with pytest.raises(MalformedSpaceError):
