@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +87,18 @@ def _emit(args, report: dict, lines: list[str], elapsed: float) -> None:
 
 
 def _parse_value(text: str) -> float:
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    value = parse_label(text)
+    if value is None:
         raise ContractumError(f"cannot parse numeric value {text!r}")
+    return value
+
+
+def _space_fixture(name: str):
+    fixture = SPACE_FIXTURES.get(name)
+    if fixture is None:
+        raise ContractumError(f"unknown fixture {name!r}; "
+                              f"choices: {', '.join(SPACE_FIXTURES)}")
+    return fixture
 
 
 def _resolve_map(spec: str):
@@ -207,10 +214,7 @@ def _fixture_map(args, fixture):
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
     if args.space and args.fixture:
         raise ContractumError("pass either --space or --fixture, not both")
-    fixture = SPACE_FIXTURES.get(args.fixture) if args.fixture else None
-    if args.fixture and fixture is None:
-        raise ContractumError(f"unknown fixture {args.fixture!r}; "
-                              f"choices: {', '.join(SPACE_FIXTURES)}")
+    fixture = _space_fixture(args.fixture) if args.fixture else None
     if args.s is None:
         args.s = fixture.s if fixture else 1.0
     spec = _build_check_spec(args, fixture)
@@ -254,18 +258,16 @@ def _iterate_domain(args):
     if sum(sources) != 1:
         raise ContractumError("exactly one of --space, --domain, --fixture is required")
     if args.fixture:
-        fixture = SPACE_FIXTURES.get(args.fixture)
-        if fixture is None:
-            raise ContractumError(f"unknown fixture {args.fixture!r}")
+        fixture = _space_fixture(args.fixture)
         T = _fixture_map(args, fixture)
         return fixture.metric, T, _parse_value(args.x0), (args.s or fixture.s)
     if args.domain:
         if not args.domain.startswith("interval:"):
             raise ContractumError(f"--domain must look like interval:a,b, got {args.domain!r}")
-        try:
-            a, b = (float(Fraction(p)) for p in args.domain[len("interval:"):].split(","))
-        except (ValueError, ZeroDivisionError):
+        bounds = [parse_label(p) for p in args.domain[len("interval:"):].split(",")]
+        if len(bounds) != 2 or None in bounds:
             raise ContractumError(f"cannot parse interval bounds in {args.domain!r}")
+        a, b = bounds
         if not a < b:
             raise ContractumError(f"interval needs a < b, got {a}, {b}")
         if not args.map:
@@ -310,11 +312,9 @@ def _cmd_solve_integral(args) -> tuple[int, dict, list[str]]:
                               kernel=kernel, s=args.s, m=args.m,
                               quadrature=args.quadrature)
     grid = problem.grid()
-    try:
-        x0 = float(Fraction(args.x0))
-    except (ValueError, ZeroDivisionError):
-        profile = compile_expression(args.x0, ("t",))
-        x0 = np.array(profile(grid))
+    x0 = parse_label(args.x0)
+    if x0 is None:
+        x0 = np.array(compile_expression(args.x0, ("t",))(grid))
     config = IterationConfig(tol=args.tol, max_iter=args.max_iter)
     solution = solve(problem, config, x0=x0)
     result = solution.result

@@ -123,23 +123,21 @@ def _apply_map(space, T, x):
 
 def m_value(space, T: Callable, x, y) -> float:
     """The comparison maximum max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}."""
-    tx = _apply_map(space, T, x)
-    ty = _apply_map(space, T, y)
-    d = space.distance
-    return max(d(x, y), d(x, tx), d(y, ty), d(y, tx))
+    return _rhs_argument(Variant.TYPE_IM, space, x, y,
+                         _apply_map(space, T, x), _apply_map(space, T, y))
 
 
-def _rhs_argument(spec: ContractionSpec, space, x, y, tx, ty) -> float:
+def _rhs_argument(variant: Variant, space, x, y, tx, ty, betas=None) -> float:
     d = space.distance
-    if spec.variant is Variant.TYPE_F:
+    if variant is Variant.TYPE_F:
         return d(x, y)
-    if spec.variant is Variant.TYPE_IM:
+    if variant is Variant.TYPE_IM:
         return max(d(x, y), d(x, tx), d(y, ty), d(y, tx))
-    if spec.variant is Variant.KANNAN:
+    if variant is Variant.KANNAN:
         return (d(x, tx) + d(y, ty)) / 2.0
-    if spec.variant is Variant.REICH:
+    if variant is Variant.REICH:
         return (d(x, y) + d(x, tx) + d(y, ty)) / 3.0
-    b1, b2, b3, b4 = spec.betas
+    b1, b2, b3, b4 = betas
     return b1 * d(x, y) + b2 * d(tx, x) + b3 * d(ty, y) + b4 * d(y, tx)
 
 
@@ -159,7 +157,7 @@ def check_pair(spec: ContractionSpec, space, T: Callable, x, y, *,
     if d_txy <= GUARD_TOL:
         return PairVerdict(x=x, y=y, status=Status.VACUOUS)
 
-    arg = _rhs_argument(spec, space, x, y, tx, ty)
+    arg = _rhs_argument(spec.variant, space, x, y, tx, ty, spec.betas)
     if spec.variant in (Variant.KANNAN, Variant.REICH, Variant.BETA_COMBO):
         if arg <= GUARD_TOL:
             return PairVerdict(x=x, y=y, status=Status.VACUOUS)

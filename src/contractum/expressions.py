@@ -142,7 +142,13 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> Callable[..., f
         if args and type(args[0]) is ndarray:
             return on_arrays(args)
         try:
-            return float(scalar(*args))
+            value = scalar(*args)
+            if type(value) is not float:
+                # numpy scalar arguments follow numpy rules (inf or nan with
+                # only a warning); as Python floats they raise like any other
+                args = [float(a) for a in args]
+                value = float(scalar(*args))
+            return value
         except (ArithmeticError, ValueError, TypeError) as exc:
             # TypeError: a negative base to a fractional power is complex
             where = ", ".join(f"{n}={v!r}" for n, v in zip(variables, args))

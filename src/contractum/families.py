@@ -148,40 +148,16 @@ def check_limit_heuristics(pair: AuxiliaryPair,
 # registries
 
 
-def _ln(t: float) -> float:
-    return math.log(t)
-
-
-def _ln_sqrt(t: float) -> float:
-    return math.log(math.sqrt(t))
-
-
-def _ln_plus_sqrt(t: float) -> float:
-    return math.log(t) + math.sqrt(t)
-
-
-def _x_plus_ln(t: float) -> float:
-    return t + math.log(t)
-
-
-def _inv_1p(t: float) -> float:
-    return 1.0 / (1.0 + t)
-
-
-def _inv_2p(t: float) -> float:
-    return 1.0 / (2.0 + t)
-
-
 F_REGISTRY: dict[str, Callable[[float], float]] = {
-    "ln": _ln,
-    "ln_sqrt": _ln_sqrt,
-    "ln_plus_sqrt": _ln_plus_sqrt,
-    "x_plus_ln": _x_plus_ln,
+    "ln": math.log,
+    "ln_sqrt": lambda t: math.log(math.sqrt(t)),
+    "ln_plus_sqrt": lambda t: math.log(t) + math.sqrt(t),
+    "x_plus_ln": lambda t: t + math.log(t),
 }
 
 PHI_REGISTRY: dict[str, Callable[[float], float]] = {
-    "inv_1p": _inv_1p,
-    "inv_2p": _inv_2p,
+    "inv_1p": lambda t: 1.0 / (1.0 + t),
+    "inv_2p": lambda t: 1.0 / (2.0 + t),
 }
 
 _CONST_TAU = re.compile(r"^const_tau\(\s*([^)]+)\s*\)$")

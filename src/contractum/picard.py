@@ -16,7 +16,6 @@ in log space (n * ln s + ln gap) because s^n overflows quickly for s = 3.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -68,21 +67,17 @@ class IterationTrace:
 
     def log_scaled1(self, s: float) -> list[float]:
         """n * ln(s) + ln(gap1[n]); -inf where the gap is zero."""
-        ls = math.log(s)
-        return [n * ls + (math.log(g) if g > 0 else -math.inf)
-                for n, g in enumerate(self.gap1)]
+        return _log_scaled(self.gap1, s)
 
     def log_scaled2(self, s: float) -> list[float]:
-        ls = math.log(s)
-        return [n * ls + (math.log(g) if g > 0 else -math.inf)
-                for n, g in enumerate(self.gap2)]
+        return _log_scaled(self.gap2, s)
 
     def scaled1(self, s: float) -> list[float]:
         """s^n * gap1[n], computed via log space (may overflow to inf)."""
-        return [math.exp(v) if v != -math.inf else 0.0 for v in self.log_scaled1(s)]
+        return _exp(self.log_scaled1(s))
 
     def scaled2(self, s: float) -> list[float]:
-        return [math.exp(v) if v != -math.inf else 0.0 for v in self.log_scaled2(s)]
+        return _exp(self.log_scaled2(s))
 
     def write_csv(self, path, s: float) -> None:
         log1 = self.log_scaled1(s)
@@ -99,6 +94,15 @@ class IterationTrace:
                     log1[n] if n < len(log1) else "",
                     log2[n] if n < len(log2) else "",
                 ])
+
+
+def _log_scaled(gaps: Sequence[float], s: float) -> list[float]:
+    ls = math.log(s)
+    return [n * ls + (math.log(g) if g > 0 else -math.inf) for n, g in enumerate(gaps)]
+
+
+def _exp(logs: Sequence[float]) -> list[float]:
+    return [math.exp(v) for v in logs]   # exp(-inf) is exactly 0.0
 
 
 def _point_repr(p) -> str:
@@ -126,16 +130,10 @@ class FixedPointResult:
                 "iterations": self.iterations, "status": self.status.value}
 
 
-def _encode(point) -> Any:
-    """Canonical hashable encoding for exact-revisit detection."""
-    if isinstance(point, np.ndarray):
-        return ("ndarray", point.shape, point.dtype.str,
-                hashlib.sha1(np.ascontiguousarray(point).tobytes()).hexdigest())
-    if isinstance(point, (float, int)):
-        return ("num", repr(float(point)))
-    if isinstance(point, (tuple, list)):
-        return tuple(_encode(p) for p in point)
-    return ("obj", repr(point))
+def _revisit_key(point):
+    """The point itself for exact-revisit detection: numbers and labels
+    compare by value, an array by its raw bytes."""
+    return point.tobytes() if isinstance(point, np.ndarray) else point
 
 
 def _checked_distance(metric, a, b) -> float:
@@ -154,7 +152,7 @@ def iterate(T: Callable, x0, metric: Callable[[Any, Any], float],
     iterate; a fixed starting point converges in 0 iterations.
     """
     x = x0
-    seen = {_encode(x0): 0}
+    seen = {_revisit_key(x0)}
     points = [x0] if config.record_trace else None
     gap1: list[float] = [] if config.record_trace else None
 
@@ -173,14 +171,14 @@ def iterate(T: Callable, x0, metric: Callable[[Any, Any], float],
             iterations = n
             x = fx
             break
-        enc = _encode(fx)
-        if enc in seen:
+        key = _revisit_key(fx)
+        if key in seen:
             status = IterationStatus.CYCLE_DETECTED
             residual = r
             iterations = n + 1
             x = fx
             break
-        seen[enc] = n + 1
+        seen.add(key)
         x = fx
     else:
         # x is already the final iterate; r is its predecessor's residual
@@ -220,15 +218,7 @@ def _decreasing_suffix_start(seq: Sequence[float]) -> int:
             start = i
         else:
             break
-    return max(start, 0) if seq else 0
-
-
-def _eventually_decreasing(seq: Sequence[float]) -> bool:
-    """The strictly-decreasing suffix covers at least the last half of the
-    recorded window (asymptotic claims are only checkable as trends)."""
-    if len(seq) < 2:
-        return True
-    return _decreasing_suffix_start(seq) <= len(seq) // 2
+    return max(start, 0)
 
 
 @dataclass
@@ -261,16 +251,19 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
     if s < 1:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
 
-    log1 = trace.log_scaled1(s)
-    log2 = trace.log_scaled2(s)
+    start1 = _decreasing_suffix_start(trace.log_scaled1(s))
+    start2 = _decreasing_suffix_start(trace.log_scaled2(s))
     rates = [b / a for a, b in zip(trace.gap1, trace.gap1[1:]) if a > 0]
 
+    # a log-scaled sequence trends to zero when its strictly-decreasing
+    # suffix covers at least the last half of the recorded window
+    # (asymptotic claims are only checkable as trends)
     return TraceDiagnostics(
         gap1_strictly_decreasing=_strictly_decreasing_while_positive(trace.gap1),
-        scaled1_trending_zero=_eventually_decreasing(log1),
-        scaled2_trending_zero=_eventually_decreasing(log2),
-        suffix_start1=_decreasing_suffix_start(log1),
-        suffix_start2=_decreasing_suffix_start(log2),
+        scaled1_trending_zero=start1 <= len(trace.gap1) // 2,
+        scaled2_trending_zero=start2 <= len(trace.gap2) // 2,
+        suffix_start1=start1,
+        suffix_start2=start2,
         tail_rate=rates[-1] if rates else None,
         rates=rates)
 

@@ -23,6 +23,7 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -123,6 +124,14 @@ class FiniteSpace:
         D.flags.writeable = False
         object.__setattr__(self, "dist", D)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
+
+    @cached_property
+    def _three_hop_minima(self) -> np.ndarray:
+        """_pair_denominator_minima of the read-only table, computed once
+        for validate_space, minimal_coefficient and classify_space."""
+        denom = _pair_denominator_minima(self.dist)
+        denom.flags.writeable = False
+        return denom
 
     @classmethod
     def from_table(cls, points: Sequence, table: Sequence[Sequence]) -> "FiniteSpace":
@@ -511,7 +520,7 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
 
     if sample is None:
         D = space.dist
-        ratios = _ratio_matrix(D, _pair_denominator_minima(D))
+        ratios = _ratio_matrix(D, space._three_hop_minima)
         max_ratio = float(ratios.max())
         extremal = _extremal_quadruple(space, D, ratios, max_ratio)
     else:
@@ -528,25 +537,20 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
 
 
 def minimal_coefficient(space: FiniteSpace, *, tol: float = DEFAULT_TOL) -> float:
-    """Smallest admissible coefficient, by exhaustive enumeration.
+    """Smallest admissible coefficient, by exhaustive enumeration: the
+    minimal_s of validate_space.
 
     Spaces with fewer than 4 points report 1 (the inequality is vacuous).
     A zero distance between distinct points makes denominators degenerate
     and is rejected as malformed input.
     """
-    n = len(space.points)
-    if n < 4:
-        return 1.0
-    axiom1 = _axiom1_failures(space, tol)
-    if axiom1:
+    report = validate_space(space, 1.0, tol=tol)
+    if report.axiom1_failures and not report.vacuous:
+        a, b = report.axiom1_failures[0]
         raise MalformedSpaceError(
-            f"zero distance between distinct points {axiom1[0][0]!r} and "
-            f"{axiom1[0][1]!r} makes quadruple denominators vanish", pair=axiom1[0])
-    if n > MAX_EXHAUSTIVE_POINTS:
-        raise ValueError(
-            f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
-    D = space.dist
-    return max(1.0, float(_ratio_matrix(D, _pair_denominator_minima(D)).max()))
+            f"zero distance between distinct points {a!r} and {b!r} makes "
+            f"quadruple denominators vanish", pair=(a, b))
+    return report.minimal_s
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +630,7 @@ def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
         if n > MAX_EXHAUSTIVE_POINTS:
             raise ValueError(
                 f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
-        denom = _pair_denominator_minima(D)
+        denom = space._three_hop_minima
         flagged = D > denom + tol
         quad = _quadrilateral_violations(D, flagged, tol, max_witnesses)
         quad_witnesses = tuple(

@@ -72,6 +72,15 @@ class TestReports:
         assert code == 0
         assert out["report"]["minimal_s"] == pytest.approx(25 / 24, abs=1e-12)
 
+    def test_min_s_makes_one_kernel_pass(self, space_file, monkeypatch):
+        from contractum import spaces
+        kernel = spaces._pair_denominator_minima
+        calls = []
+        monkeypatch.setattr(spaces, "_pair_denominator_minima",
+                            lambda D: calls.append(D.shape) or kernel(D))
+        assert dispatch(["min-s", str(space_file)]) == 0
+        assert calls == [(4, 4)]
+
     def test_check_summary_shape(self, capsys):
         code, out = run_json(capsys, ["check", "--fixture", "example-3.4",
                                       "--variant", "typeF", "--grid", "8"])

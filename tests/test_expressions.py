@@ -72,6 +72,16 @@ def test_power_of_negative_base_is_an_expression_error():
         compile_expression("x^0.5 - 1", ("x",))(-0.5)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, before the float re-run
+@pytest.mark.parametrize("text, x", [("1/x", 0.0), ("x^0.5", -0.5)])
+def test_numpy_scalar_arguments_follow_float_rules(text, x):
+    f = compile_expression(text, ("x",))
+    with pytest.raises(ExpressionError, match=f"x={x}:"):
+        f(np.float64(x))
+    good = f(np.float64(4.0))
+    assert type(good) is float and good == f(4.0)
+
+
 def test_integer_literals_cannot_grow_big_ints():
     # literals are floats, so 2^2^40 overflows at once; a regression would
     # hang, hence the subprocess with a timeout

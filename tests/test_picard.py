@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contractum.errors import InsufficientDataError, NumericError
+from contractum.expressions import compile_expression
 from contractum.fixtures import EXAMPLE_3_4, EXAMPLE_3_10
 from contractum.picard import (
     IterationConfig,
@@ -43,9 +45,19 @@ class TestIterate:
             assert x_n == pytest.approx(2.5 ** (6.0 ** -n), abs=1e-12)
 
     def test_cycle_detected_on_period_two_orbit(self):
-        result = iterate(lambda x: 1.0 - x, 0.2, ABS, IterationConfig(tol=1e-12))
-        assert result.status is IterationStatus.CYCLE_DETECTED
-        assert result.residual > 0
+        sup = lambda x, y: float(np.max(np.abs(x - y)))
+        cases = [
+            # 1 - 0.8 rounds to 0.19999999999999996, so 0.8 is the first revisit
+            (lambda x: 1.0 - x, 0.2, ABS, 3),
+            (lambda x: -x, 0.7, ABS, 2),
+            ({"a": "b", "b": "a"}.get, "a", lambda x, y: float(x != y), 2),
+            (lambda x: -x, np.array([0.5, -1.0, 2.0]), sup, 2),
+        ]
+        for T, x0, metric, iterations in cases:
+            result = iterate(T, x0, metric, IterationConfig(tol=1e-12))
+            assert result.status is IterationStatus.CYCLE_DETECTED
+            assert result.residual > 0
+            assert result.iterations == iterations
 
     def test_max_iter_exceeded(self):
         result = iterate(lambda x: x / 2, 1.0, ABS,
@@ -82,6 +94,20 @@ class TestIterate:
                          IterationConfig(record_trace=False))
         assert result.trace is None
         assert result.converged
+
+    def test_long_orbit_memory(self):
+        # about 103k steps; the revisit keys are the iterates themselves, so
+        # the trace dominates the peak
+        T = compile_expression("0.9999*x + 0.00005", ("x",))
+        tracemalloc.start()
+        try:
+            result = iterate(T, 0.8, ABS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert result.iterations > 100_000
+        assert peak < 20 * 2 ** 20
 
     def test_array_points_supported(self):
         T = lambda x: 0.5 * x
@@ -142,6 +168,44 @@ class TestAuditTrace:
         trace = IterationTrace(points=[1.0, 2.0], gap1=[1.0], gap2=[])
         with pytest.raises(InsufficientDataError):
             audit_trace(trace, s=2.0)
+
+
+def _reference_suffix_start(seq):
+    start = len(seq) - 1
+    for i in range(len(seq) - 2, -1, -1):
+        if seq[i + 1] < seq[i]:
+            start = i
+        else:
+            break
+    return max(start, 0) if seq else 0
+
+
+def _reference_eventually_decreasing(seq):
+    if len(seq) < 2:
+        return True
+    return _reference_suffix_start(seq) <= len(seq) // 2
+
+
+def test_audit_matches_reference_on_random_gaps():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        gaps = []
+        for k in (n - 1, n - 2):
+            g = rng.uniform(0.0, 2.0, size=k)
+            g[rng.random(k) < 0.1] = 0.0
+            cut = int(rng.integers(0, k + 1))
+            g[cut:] = np.sort(g[cut:])[::-1]          # a decreasing tail of random length
+            gaps.append([float(v) for v in g])
+        s = float(rng.choice([1.0, 1.5, 3.0]))
+        trace = IterationTrace(points=[0.0] * n, gap1=gaps[0], gap2=gaps[1])
+        report = audit_trace(trace, s)
+        logs = [[k * math.log(s) + (math.log(g) if g > 0 else -math.inf)
+                 for k, g in enumerate(seq)] for seq in gaps]
+        assert report.suffix_start1 == _reference_suffix_start(logs[0])
+        assert report.suffix_start2 == _reference_suffix_start(logs[1])
+        assert report.scaled1_trending_zero == _reference_eventually_decreasing(logs[0])
+        assert report.scaled2_trending_zero == _reference_eventually_decreasing(logs[1])
 
 
 class TestScalingCondition:
