@@ -18,19 +18,43 @@ small distances); reported margins are raw.
 
 M and the beta combination are not symmetric in (x, y), so those variants
 are checked in both orientations of every unordered pair.
+
+check_pair is the one-pair reference. verify_over_finite and
+verify_over_sample give exactly its verdicts, but decide them in blocks
+of pairs with numpy arrays: T is applied once per point, in order; the
+distances d(x,y), d(x,Tx), d(y,Ty), d(y,Tx), d(Tx,Ty) are read from the
+table through the image indices, or come from the metric's array mode;
+F and phi are evaluated once per block. Callables that cannot take
+arrays are applied element by element. Arrays only decide statuses:
+numpy's log and square can differ from libm's log and pow in the last
+place, so check_pair re-decides every pair whose margin or guard
+quantity lies within a relative band of 2^-30 of its threshold (relative
+to the larger of 1 and the terms of the margin, for margins). Every
+number that is reported, the lhs and rhs of each violation and every
+verdict under collect_all, comes from check_pair. A block in which an
+array call fails, or in which some pair would make check_pair raise, is
+re-run pair by pair in loop order, so the error names the same first
+failing pair. Sampled pairs are drawn as before, x then y for each pair,
+so a seed gives the same sample. The array path takes the metric to be
+symmetric, as a metric is, and F and phi in array mode to agree with
+their scalar values to well within the band. FiniteSpace.from_metric, by
+contrast, stays scalar on purpose: it stores the metric's values, and an
+array metric would change them, and the minimal s printed from them, in
+the last place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ClosureError, FunctionDomainError
+from .expressions import array_values
 from .families import AuxiliaryPair
-from .spaces import SampledSpace
+from .spaces import FiniteSpace, SampledSpace
 
 MARGIN_TOL = 1e-9
 GUARD_TOL = 1e-12
@@ -46,6 +70,8 @@ class Variant(str, Enum):
 
 #: variants whose right-hand side is not symmetric under swapping x and y
 _ASYMMETRIC = frozenset({Variant.TYPE_IM, Variant.BETA_COMBO})
+#: variants for which a vanishing right-hand argument is vacuous, not an error
+_GUARDED = frozenset({Variant.KANNAN, Variant.REICH, Variant.BETA_COMBO})
 
 
 class Status(str, Enum):
@@ -158,7 +184,7 @@ def check_pair(spec: ContractionSpec, space, T: Callable, x, y, *,
         return PairVerdict(x=x, y=y, status=Status.VACUOUS)
 
     arg = _rhs_argument(spec.variant, space, x, y, tx, ty, spec.betas)
-    if spec.variant in (Variant.KANNAN, Variant.REICH, Variant.BETA_COMBO):
+    if spec.variant in _GUARDED:
         if arg <= GUARD_TOL:
             return PairVerdict(x=x, y=y, status=Status.VACUOUS)
     elif arg <= 0:
@@ -206,41 +232,198 @@ class VerificationSummary:
         return out
 
 
-def _record(summary: VerificationSummary, orientation_verdicts: list[PairVerdict]) -> None:
-    summary.total += 1
-    statuses = {v.status for v in orientation_verdicts}
-    if Status.VIOLATED in statuses:
-        summary.violated += 1
-        summary.violations.extend(
-            v for v in orientation_verdicts if v.status is Status.VIOLATED)
-    elif Status.HOLDS in statuses:
-        summary.holds += 1
+# ---------------------------------------------------------------------------
+# the array path
+
+
+#: pairs per block: bounds the memory of the per-pair arrays
+_PAIR_BLOCK = 1 << 15
+#: relative band around a threshold in which check_pair decides the status
+_BAND = 2.0 ** -30
+
+#: status codes; an unordered pair's code is the largest of its orientations'
+_VACUOUS, _HOLDS, _VIOLATED = 0, 1, 2
+_CODE = {Status.VACUOUS: _VACUOUS, Status.HOLDS: _HOLDS, Status.VIOLATED: _VIOLATED}
+
+
+class _Reference(Exception):
+    """Some pair of the block makes check_pair raise: the reference loop
+    re-runs the block, so the first such pair raises its own error."""
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """Points and their images as the array path reads them: ``coord`` and
+    ``image`` are what ``dist`` takes (table indices, or point values under
+    a metric), and ``moved`` is d(p, Tp) for each point."""
+
+    points: Sequence
+    coord: np.ndarray
+    image: np.ndarray
+    moved: np.ndarray
+    dist: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _frame(space, T: Callable, points: Sequence) -> _Frame | None:
+    """T applied once to each point, in order. None when T fails on a point
+    or the points cannot go into arrays: the reference loop then decides,
+    and raises where and what it raises."""
+    try:
+        images = [_apply_map(space, T, p) for p in points]
+        if isinstance(space, FiniteSpace):
+            coord = np.arange(len(points))
+            image = np.array([space.index(t) for t in images], dtype=np.intp)
+            table = space.dist
+            dist = lambda a, b: table[a, b]
+        else:
+            coord = np.array(points, dtype=float)
+            image = np.array(images, dtype=float)
+            dist = lambda a, b: array_values(space.metric, a, b)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            moved = dist(coord, image)
+    except Exception:  # whatever it is, the reference loop meets it again
+        return None
+    return _Frame(points, coord, image, moved, dist)
+
+
+def _near(q: np.ndarray, threshold: float) -> np.ndarray:
+    return np.abs(q - threshold) <= _BAND * np.maximum(np.abs(q), abs(threshold))
+
+
+def _orientation_codes(spec: ContractionSpec, tol: float, d_xy, d_txty,
+                       d_xtx, d_yty, d_ytx) -> tuple[np.ndarray, np.ndarray]:
+    """Status codes of one orientation (x, y) over a block, and the mask of
+    pairs near a threshold, whose status check_pair decides."""
+    variant = spec.variant
+    if variant is Variant.TYPE_F:
+        arg = d_xy
+    elif variant is Variant.TYPE_IM:
+        arg = np.maximum(np.maximum(np.maximum(d_xy, d_xtx), d_yty), d_ytx)
+    elif variant is Variant.KANNAN:
+        arg = (d_xtx + d_yty) / 2.0
+    elif variant is Variant.REICH:
+        arg = (d_xy + d_xtx + d_yty) / 3.0
     else:
-        summary.vacuous += 1
-    if summary.verdicts is not None:
-        summary.verdicts.extend(orientation_verdicts)
+        b1, b2, b3, b4 = spec.betas
+        arg = b1 * d_xy + b2 * d_xtx + b3 * d_yty + b4 * d_ytx
+    vacuous = d_txty <= GUARD_TOL
+    near = _near(d_txty, GUARD_TOL)
+    if variant in _GUARDED:
+        vacuous |= arg <= GUARD_TOL
+        near |= _near(arg, GUARD_TOL)
+    live = ~(vacuous | near)
+    arg, d_xy, d_txty = arg[live], d_xy[live], d_txty[live]
+    if (d_xy <= 0).any() or (variant not in _GUARDED and (arg <= 0).any()):
+        raise _Reference
+    scale = spec.s if variant is Variant.TYPE_F else spec.s ** 2
+    lhs = array_values(spec.pair.F, scale * d_txty)
+    f_arg = array_values(spec.pair.F, arg)
+    phi = array_values(spec.phi, d_xy)
+    margin = (f_arg - phi) - lhs
+    size = np.maximum(np.maximum(np.abs(lhs), np.abs(f_arg)), np.maximum(np.abs(phi), 1.0))
+    codes = np.zeros(len(live), dtype=np.uint8)
+    codes[live] = np.where(margin >= -tol, _HOLDS, _VIOLATED)
+    near[live] = np.abs(margin + tol) <= _BAND * size
+    return codes, near
 
 
-def _check_unordered(spec: ContractionSpec, space, T, x, y, tol: float) -> list[PairVerdict]:
-    verdicts = [check_pair(spec, space, T, x, y, tol=tol)]
-    if spec.variant in _ASYMMETRIC:
-        verdicts.append(check_pair(spec, space, T, y, x, tol=tol))
-    return verdicts
+def _array_block(spec: ContractionSpec, space, T: Callable, tol: float, frame: _Frame,
+                 i: np.ndarray, j: np.ndarray, violations: list) -> np.ndarray:
+    """Codes of the pairs (points[i[k]], points[j[k]]). The arrays decide
+    each orientation's status; check_pair decides those near a threshold
+    and gives the numbers of each violation, in loop order."""
+    dist, coord, image = frame.dist, frame.coord, frame.image
+    x, y, tx, ty = coord[i], coord[j], image[i], image[j]
+    asymmetric = spec.variant in _ASYMMETRIC
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        d_xy, d_txty = dist(x, y), dist(tx, ty)
+        d_xtx, d_yty = frame.moved[i], frame.moved[j]
+        found = [_orientation_codes(spec, tol, d_xy, d_txty, d_xtx, d_yty,
+                                    dist(y, tx) if asymmetric else None)]
+        if asymmetric:
+            found.append(_orientation_codes(spec, tol, d_xy, d_txty, d_yty, d_xtx,
+                                            dist(x, ty)))
+    codes = np.array([c for c, _ in found])
+    todo = np.array([near for _, near in found]) | (codes == _VIOLATED)
+    for k, swapped in np.argwhere(todo.T).tolist():
+        x, y = frame.points[i[k]], frame.points[j[k]]
+        verdict = check_pair(spec, space, T, *((y, x) if swapped else (x, y)), tol=tol)
+        codes[swapped, k] = _CODE[verdict.status]
+        if verdict.status is Status.VIOLATED:
+            violations.append(verdict)
+    return codes.max(axis=0)
+
+
+def _reference_block(spec: ContractionSpec, space, T: Callable, tol: float, points: Sequence,
+                     i: np.ndarray, j: np.ndarray, violations: list,
+                     verdicts: list | None) -> np.ndarray:
+    """The reference loop: check_pair on each pair in turn, both
+    orientations for the asymmetric variants."""
+    codes = np.empty(len(i), dtype=np.uint8)
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        x, y = points[a], points[b]
+        found = [check_pair(spec, space, T, x, y, tol=tol)]
+        if spec.variant in _ASYMMETRIC:
+            found.append(check_pair(spec, space, T, y, x, tol=tol))
+        codes[k] = max(_CODE[v.status] for v in found)
+        violations.extend(v for v in found if v.status is Status.VIOLATED)
+        if verdicts is not None:
+            verdicts.extend(found)
+    return codes
+
+
+def _verify(spec: ContractionSpec, space, T: Callable, tol: float, collect_all: bool,
+            blocks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]]) -> VerificationSummary:
+    """The summary over ``blocks`` of pairs (points[i[k]], points[j[k]]), in
+    loop order. Blocks that share one points sequence share its images.
+    With ``collect_all`` every verdict is printed, so check_pair gives all
+    of them."""
+    counts = np.zeros(3, dtype=np.int64)
+    violations: list[PairVerdict] = []
+    verdicts: list[PairVerdict] | None = [] if collect_all else None
+    points = frame = None
+    for block_points, i, j in blocks:
+        if not collect_all and block_points is not points:
+            points, frame = block_points, _frame(space, T, block_points)
+        codes = None
+        if frame is not None:
+            mark = len(violations)
+            try:
+                codes = _array_block(spec, space, T, tol, frame, i, j, violations)
+            except Exception:  # whatever it is, the reference loop meets it again
+                del violations[mark:]
+        if codes is None:
+            codes = _reference_block(spec, space, T, tol, block_points, i, j,
+                                     violations, verdicts)
+        counts += np.bincount(codes, minlength=3)
+    violations.sort(key=lambda v: (str(v.x), str(v.y)))
+    return VerificationSummary(total=int(counts.sum()), holds=int(counts[_HOLDS]),
+                               vacuous=int(counts[_VACUOUS]),
+                               violated=int(counts[_VIOLATED]),
+                               violations=violations, verdicts=verdicts)
+
+
+def _pair_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index arrays (i, j) of the pairs i < j of n points, in loop order
+    (i, then j), in blocks of at most _PAIR_BLOCK pairs."""
+    rows = np.arange(max(n - 1, 0))
+    first = rows * (2 * n - rows - 1) // 2  # number of the first pair of each row
+    total = n * (n - 1) // 2
+    for start in range(0, total, _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, total))
+        i = np.searchsorted(first, k, side="right") - 1
+        yield i, k - first[i] + i + 1
 
 
 def verify_over_finite(spec: ContractionSpec, space, T: Callable, *,
                        tol: float = MARGIN_TOL,
                        collect_all: bool = False) -> VerificationSummary:
-    """Run check_pair over every unordered pair of the space's points
-    (both orientations for the asymmetric variants). Overall pass iff
-    zero violations."""
-    summary = VerificationSummary(verdicts=[] if collect_all else None)
+    """The verdict of every unordered pair of the space's points (both
+    orientations for the asymmetric variants), as check_pair would give
+    it. Overall pass iff zero violations."""
     points = space.points
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            _record(summary, _check_unordered(spec, space, T, points[i], points[j], tol))
-    summary.violations.sort(key=lambda v: (str(v.x), str(v.y)))
-    return summary
+    return _verify(spec, space, T, tol, collect_all,
+                   ((points, i, j) for i, j in _pair_blocks(len(points))))
 
 
 def verify_over_sample(spec: ContractionSpec, sampler: Callable,
@@ -249,15 +432,18 @@ def verify_over_sample(spec: ContractionSpec, sampler: Callable,
                        collect_all: bool = False) -> VerificationSummary:
     """Monte-Carlo proxy for a continuous domain: ``n`` pairs drawn by
     ``sampler`` (a callable taking a numpy Generator), deterministic for a
-    given seed. Report shape matches verify_over_finite."""
+    given seed. Each pair draws its x, then its y. Report shape matches
+    verify_over_finite."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    domain = SampledSpace(points=(), metric=metric)
-    summary = VerificationSummary(verdicts=[] if collect_all else None)
-    for _ in range(n):
-        x = sampler(rng)
-        y = sampler(rng)
-        _record(summary, _check_unordered(spec, domain, T, x, y, tol))
-    summary.violations.sort(key=lambda v: (str(v.x), str(v.y)))
-    return summary
+
+    def blocks():
+        for start in range(0, n, _PAIR_BLOCK):
+            count = min(_PAIR_BLOCK, n - start)
+            points = [sampler(rng) for _ in range(2 * count)]
+            i = np.arange(0, 2 * count, 2)
+            yield points, i, i + 1
+
+    return _verify(spec, SampledSpace(points=(), metric=metric), T, tol, collect_all,
+                   blocks())

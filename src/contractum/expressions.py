@@ -142,13 +142,14 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> Callable[..., f
         if args and type(args[0]) is ndarray:
             return on_arrays(args)
         try:
+            for a in args:
+                if type(a) is not float:
+                    # numpy scalars follow numpy rules (inf or nan with only
+                    # a warning); as Python floats they raise like any other
+                    args = tuple(map(float, args))
+                    break
             value = scalar(*args)
-            if type(value) is not float:
-                # numpy scalar arguments follow numpy rules (inf or nan with
-                # only a warning); as Python floats they raise like any other
-                args = [float(a) for a in args]
-                value = float(scalar(*args))
-            return value
+            return value if type(value) is float else float(value)
         except (ArithmeticError, ValueError, TypeError) as exc:
             # TypeError: a negative base to a fractional power is complex
             where = ", ".join(f"{n}={v!r}" for n, v in zip(variables, args))
@@ -157,3 +158,15 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> Callable[..., f
     evaluate.__name__ = f"expr({text})"
     evaluate.expression = text  # type: ignore[attr-defined]
     return evaluate
+
+
+def array_values(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` over the broadcast arrays, as floats. A callable that cannot
+    take arrays (a ``math`` call, an ``if`` on its argument) is applied
+    element by element, in row-major order."""
+    try:
+        values = fn(*arrays)
+    except (TypeError, ValueError):
+        values = np.vectorize(fn, otypes=[float])(*arrays)
+    return np.broadcast_to(np.asarray(values, dtype=float),
+                           np.broadcast_shapes(*(a.shape for a in arrays)))

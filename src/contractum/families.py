@@ -12,7 +12,6 @@ checks below are labeled advisory.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -148,16 +147,18 @@ def check_limit_heuristics(pair: AuxiliaryPair,
 # registries
 
 
+# compiled, so that they also take arrays; called with a float they
+# evaluate exactly as the math functions they name
 F_REGISTRY: dict[str, Callable[[float], float]] = {
-    "ln": math.log,
-    "ln_sqrt": lambda t: math.log(math.sqrt(t)),
-    "ln_plus_sqrt": lambda t: math.log(t) + math.sqrt(t),
-    "x_plus_ln": lambda t: t + math.log(t),
+    "ln": compile_expression("ln(t)", ("t",)),
+    "ln_sqrt": compile_expression("ln(sqrt(t))", ("t",)),
+    "ln_plus_sqrt": compile_expression("ln(t) + sqrt(t)", ("t",)),
+    "x_plus_ln": compile_expression("t + ln(t)", ("t",)),
 }
 
 PHI_REGISTRY: dict[str, Callable[[float], float]] = {
-    "inv_1p": lambda t: 1.0 / (1.0 + t),
-    "inv_2p": lambda t: 1.0 / (2.0 + t),
+    "inv_1p": compile_expression("1/(1 + t)", ("t",)),
+    "inv_2p": compile_expression("1/(2 + t)", ("t",)),
 }
 
 _CONST_TAU = re.compile(r"^const_tau\(\s*([^)]+)\s*\)$")

@@ -27,7 +27,24 @@ def _interval_grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _piecewise_metric(table: dict[tuple[float, float], float]) -> Callable[[float, float], float]:
+    """0 on the diagonal, the table's entry for a listed pair, (x - y)^2
+    otherwise. Takes two floats, or two ndarrays elementwise."""
+    listed = np.array(sorted({v for key in table for v in key}))
+    lookup = np.full((len(listed), len(listed)), np.nan)
+    for (a, b), d in table.items():
+        i, j = np.searchsorted(listed, (a, b))
+        lookup[i, j] = lookup[j, i] = d
+
+    def on_arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(listed, x), len(listed) - 1)
+        j = np.minimum(np.searchsorted(listed, y), len(listed) - 1)
+        special = lookup[i, j]
+        hit = (listed[i] == x) & (listed[j] == y) & ~np.isnan(special)
+        return np.where(x == y, 0.0, np.where(hit, special, (x - y) ** 2))
+
     def metric(x: float, y: float) -> float:
+        if type(x) is np.ndarray:
+            return on_arrays(x, y)
         if x == y:
             return 0.0
         key = (x, y) if x < y else (y, x)

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError
+from .expressions import array_values
 from .picard import FixedPointResult, IterationConfig, iterate
 
 #: grid functions are plain float arrays on the problem's uniform grid
@@ -128,16 +129,6 @@ class KernelConditionReport:
                     for t, r, x, y, lhs, rhs in self.violations]}
 
 
-def _kernel_values(kernel, t: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K(t, r, x) over the broadcast arrays. A callable that cannot take
-    arrays is applied element by element, in row-major order."""
-    try:
-        values = kernel(t, r, x)
-    except (TypeError, ValueError):
-        values = np.vectorize(kernel, otypes=[float])(t, r, x)
-    return np.broadcast_to(values, np.broadcast_shapes(t.shape, r.shape, x.shape))
-
-
 def verify_kernel_condition(problem: IntegralProblem, n: int = 1000,
                             seed: int = 0) -> KernelConditionReport:
     """Check |K(t,r,x) - K(t,r,y)| <= s^-(2+s) e^(-1/(|x-y|+1)) |x-y| on
@@ -157,7 +148,7 @@ def verify_kernel_condition(problem: IntegralProblem, n: int = 1000,
         xy[clash, 1] = rng.uniform(lo, hi, size=clash.size)
         clash = clash[xy[clash, 0] == xy[clash, 1]]
     # K(t, r, x) then K(t, r, y) for each sample in turn: row-major order
-    k = _kernel_values(problem.kernel, draw[:, 0:1], draw[:, 1:2], xy)
+    k = array_values(problem.kernel, draw[:, 0:1], draw[:, 1:2], xy)
     nan = np.flatnonzero(np.isnan(k).any(axis=1))
     if nan.size:
         raise NumericError("kernel returned NaN", where=tuple(draw[nan[0]].tolist()))
@@ -177,7 +168,7 @@ def _nystrom(problem: IntegralProblem, grid: np.ndarray, x: GridFunction) -> Gri
     rows = max(1, _MESH_BLOCK // m)
     out = np.empty(m)
     for i in range(0, m, rows):
-        out[i:i + rows] = _kernel_values(problem.kernel, grid[i:i + rows, None], r, xr) @ w
+        out[i:i + rows] = array_values(problem.kernel, grid[i:i + rows, None], r, xr) @ w
     return problem.lam * out
 
 

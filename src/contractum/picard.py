@@ -102,7 +102,15 @@ def _log_scaled(gaps: Sequence[float], s: float) -> list[float]:
 
 
 def _exp(logs: Sequence[float]) -> list[float]:
-    return [math.exp(v) for v in logs]   # exp(-inf) is exactly 0.0
+    """exp of each value; exp(-inf) is exactly 0.0, and a result past the
+    float range is inf."""
+    out = []
+    for v in logs:
+        try:
+            out.append(math.exp(v))
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def _point_repr(p) -> str:

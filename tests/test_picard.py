@@ -135,6 +135,13 @@ class TestTrace:
         assert trace.log_scaled1(3.0) == [-math.inf, -math.inf]
         assert trace.scaled1(3.0) == [0.0, 0.0]
 
+    def test_scaled_gaps_overflow_to_inf(self):
+        # 700 * ln 3 is about 769, past the largest finite exp argument (709.78)
+        trace = IterationTrace(points=[0.0] * 702, gap1=[1.0] * 701, gap2=[1.0] * 700)
+        for scaled in (trace.scaled1(3.0), trace.scaled2(3.0)):
+            assert scaled[0] == 1.0 and math.isfinite(scaled[646])
+            assert scaled[647:] == [math.inf] * (len(scaled) - 647)
+
     def test_csv_roundtrip(self, tmp_path):
         result = iterate(EXAMPLE_3_4.map, 2.0, EXAMPLE_3_4.metric)
         path = tmp_path / "trace.csv"
