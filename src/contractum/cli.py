@@ -107,6 +107,24 @@ def _resolve_map(spec: str):
     return compile_expression(spec, ("x",))
 
 
+def _closed_map(T, contains):
+    """T on a continuous domain given by its membership test: a point whose
+    image leaves the domain raises ClosureError."""
+    def closed(x):
+        image = T(x)
+        if not contains(image):
+            raise ClosureError(x)
+        return image
+    return closed
+
+
+def _start_point(args, contains) -> float:
+    x0 = _parse_value(args.x0)
+    if not contains(x0):
+        raise ContractumError(f"--x0 {args.x0!r} is not a point of the domain")
+    return x0
+
+
 def _wrap_value_map_for_labels(space, value_map):
     """Lift a map on numeric values to the label world of a finite table."""
     values = space.values
@@ -205,10 +223,12 @@ def _build_check_spec(args, fixture) -> ContractionSpec:
 
 def _fixture_map(args, fixture):
     if args.map:
-        return _resolve_map(args.map)
-    if fixture.map is None:
+        T = _resolve_map(args.map)
+    elif fixture.map is None:
         raise ContractumError(f"fixture {fixture.name!r} has no map; pass --map")
-    return fixture.map
+    else:
+        T = fixture.map
+    return _closed_map(T, fixture.contains)
 
 
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
@@ -260,7 +280,7 @@ def _iterate_domain(args):
     if args.fixture:
         fixture = _space_fixture(args.fixture)
         T = _fixture_map(args, fixture)
-        return fixture.metric, T, _parse_value(args.x0), (args.s or fixture.s)
+        return fixture.metric, T, _start_point(args, fixture.contains), (args.s or fixture.s)
     if args.domain:
         if not args.domain.startswith("interval:"):
             raise ContractumError(f"--domain must look like interval:a,b, got {args.domain!r}")
@@ -272,7 +292,9 @@ def _iterate_domain(args):
             raise ContractumError(f"interval needs a < b, got {a}, {b}")
         if not args.map:
             raise ContractumError("--map is required with --domain")
-        return (lambda x, y: abs(x - y)), _resolve_map(args.map), _parse_value(args.x0), (args.s or 1.0)
+        contains = lambda x: a <= x <= b
+        return ((lambda x, y: abs(x - y)), _closed_map(_resolve_map(args.map), contains),
+                _start_point(args, contains), (args.s or 1.0))
     space = load_space(args.space)
     if not args.map:
         raise ContractumError("--map is required with --space")

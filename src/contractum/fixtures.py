@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,6 +63,10 @@ def _build_table(pairs: dict[tuple[str, str], float]) -> dict[tuple[float, float
     return out
 
 
+#: probability that a sampled point of a fixture is one of its finite values
+P_DISCRETE = 0.3
+
+
 @dataclass(frozen=True)
 class ExampleFixture:
     """A finite-plus-interval space with its self-map and auxiliary pair."""
@@ -77,7 +82,7 @@ class ExampleFixture:
     variant: Variant | None = None
     fixed_point: float | None = None
 
-    @property
+    @cached_property
     def finite_values(self) -> tuple[float, ...]:
         return tuple(float(Fraction(p)) for p in self.finite_labels)
 
@@ -94,17 +99,21 @@ class ExampleFixture:
         return FiniteSpace.from_metric(vals, self.metric, labels=labels)
 
     def sampled_space(self, grid: int = 32) -> SampledSpace:
-        return SampledSpace(points=tuple(self.values(grid)), metric=self.metric,
-                            name=self.name)
+        return SampledSpace(points=tuple(self.values(grid)), metric=self.metric)
 
-    def sampler(self, p_discrete: float = 0.3) -> Callable:
+    def contains(self, x: float) -> bool:
+        """Whether x lies in A union B: a finite value or a point of the interval."""
+        lo, hi = self.interval
+        return lo <= x <= hi or x in self.finite_values
+
+    def sampler(self) -> Callable:
         """Random point of A union B: a finite label with probability
-        p_discrete, otherwise uniform on the interval."""
+        P_DISCRETE, otherwise uniform on the interval."""
         finite = self.finite_values
         lo, hi = self.interval
 
         def draw(rng: np.random.Generator) -> float:
-            if rng.random() < p_discrete:
+            if rng.random() < P_DISCRETE:
                 return finite[int(rng.integers(len(finite)))]
             return float(rng.uniform(lo, hi))
 

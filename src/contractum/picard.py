@@ -237,7 +237,6 @@ class TraceDiagnostics:
     suffix_start1: int
     suffix_start2: int
     tail_rate: float | None
-    rates: list[float]
 
     def to_dict(self) -> dict:
         return {"gap1_strictly_decreasing": self.gap1_strictly_decreasing,
@@ -261,7 +260,9 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
 
     start1 = _decreasing_suffix_start(trace.log_scaled1(s))
     start2 = _decreasing_suffix_start(trace.log_scaled2(s))
-    rates = [b / a for a, b in zip(trace.gap1, trace.gap1[1:]) if a > 0]
+    gaps = trace.gap1
+    # the rate of the last step that starts from a positive gap
+    last = next((n for n in range(len(gaps) - 2, -1, -1) if gaps[n] > 0), None)
 
     # a log-scaled sequence trends to zero when its strictly-decreasing
     # suffix covers at least the last half of the recorded window
@@ -272,8 +273,7 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
         scaled2_trending_zero=start2 <= len(trace.gap2) // 2,
         suffix_start1=start1,
         suffix_start2=start2,
-        tail_rate=rates[-1] if rates else None,
-        rates=rates)
+        tail_rate=gaps[last + 1] / gaps[last] if last is not None else None)
 
 
 @dataclass

@@ -12,6 +12,13 @@ table. The central questions answered here are:
   space (quadrilateral inequality with s = 1), and if not, which concrete
   tuple breaks it.
 
+Every exhaustive answer comes from a min-plus kernel: for each pair, the
+minimal two-hop sum d(x,z) + d(z,y) (triangles) or three-hop sum
+(quadrilaterals) over its admissible middle points, in O(n^3) time and
+O(n^2) memory. A pair violates an inequality iff its distance exceeds that
+minimum by more than the tolerance; its coefficient is the distance over
+the minimum. Witnesses come from rescanning only the violating pairs.
+
 Distances are stored as floats and compared with an absolute tolerance
 (default 1e-12); exact rational input such as ``"1/2"`` is accepted in
 labels and table entries and converted once.
@@ -260,7 +267,6 @@ class SampledSpace:
 
     points: tuple[float, ...]
     metric: Callable[[float, float], float]
-    name: str = ""
 
     def distance(self, a: float, b: float) -> float:
         return float(self.metric(a, b))
@@ -384,6 +390,13 @@ def _axiom1_failures(space: FiniteSpace, tol: float) -> tuple[tuple[str, str], .
     return tuple((pts[i], pts[j]) for i, j in np.argwhere(np.triu(space.dist <= tol, 1)))
 
 
+def _without_loops(D: np.ndarray) -> np.ndarray:
+    """D with inf on the diagonal, so a path that stays at a point costs inf."""
+    E = D.copy()
+    np.fill_diagonal(E, np.inf)
+    return E
+
+
 def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
     """For every ordered pair (i, j): the minimum of
     D[i,u] + D[u,v] + D[v,j] over u != v, both outside {i, j}.
@@ -395,11 +408,10 @@ def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
     """
     n = D.shape[0]
     idx = np.arange(n)
+    E = _without_loops(D)                     # u == i, u == v and v == j drop out
     denom = np.full((n, n), np.inf)
     for i in range(n):
-        B = D[i][:, None] + D                 # B[u, v] = D[i,u] + D[u,v]
-        B[idx, idx] = np.inf                  # u == v
-        B[i, :] = np.inf                      # u == i
+        B = E[i][:, None] + E                 # B[u, v] = D[i,u] + D[u,v]
         B[:, i] = np.inf                      # v == i
         u1 = B.argmin(axis=0)
         m1 = B[u1, idx]
@@ -407,17 +419,17 @@ def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
         m2 = B.min(axis=0)
         # min over u excluding u == j: runner-up where the argmin is j itself
         best_u = np.where(u1[:, None] == idx[None, :], m2[:, None], m1[:, None])
-        E = best_u + D                        # E[v, j] = min_u(...) + D[v, j]
-        E[idx, idx] = np.inf                  # v == j
-        row = E.min(axis=0)
+        row = (best_u + E).min(axis=0)        # over v of min_u(...) + D[v, j]
         row[i] = np.inf
         denom[i] = row
     return denom
 
 
 def _ratio_matrix(D: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """D / denom, inf over a zero denominator; a zero distance needs no
+    coefficient, so it gives 0 whatever its denominator."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isfinite(denom), D / denom, 0.0)
+        return np.where(D > 0, D / denom, 0.0)
 
 
 def _extremal_quadruple(space: FiniteSpace, D: np.ndarray, ratios: np.ndarray,
@@ -557,98 +569,74 @@ def minimal_coefficient(space: FiniteSpace, *, tol: float = DEFAULT_TOL) -> floa
 # taxonomy
 
 
-def _triangle_violations(D: np.ndarray, tol: float, limit: int):
-    """Ordered triples (x, z, y) with d(x,y) > d(x,z) + d(z,y) + tol, in
-    lexicographic index order, truncated at ``limit``. Also returns the
-    maximum ratio d(x,y) / (d(x,z) + d(z,y))."""
-    n = D.shape[0]
-    idx = np.arange(n)
-    found: list[tuple[int, int, int]] = []
-    max_ratio = 0.0
-    for x in range(n):
-        S = D[x][:, None] + D                 # S[z, y] = d(x,z) + d(z,y)
-        mask = np.ones((n, n), dtype=bool)
-        mask[x, :] = False                    # z == x
-        mask[:, x] = False                    # y == x
-        mask[idx, idx] = False                # z == y
-        lhs = np.broadcast_to(D[x][None, :], (n, n))
-        if (mask & (S == 0) & (lhs > 0)).any():
-            max_ratio = float("inf")
-        pos = mask & (S > 0)
-        if pos.any():
-            max_ratio = max(max_ratio, float((lhs[pos] / S[pos]).max()))
-        V = mask & (lhs > S + tol)
-        if len(found) < limit and V.any():
-            for z, y in np.argwhere(V):
-                found.append((x, int(z), int(y)))
-                if len(found) >= limit:
-                    break
-    return found, max_ratio
+def _two_hop_minima(D: np.ndarray) -> np.ndarray:
+    """For every ordered pair (x, y) with x != y: the minimum of
+    D[x,z] + D[z,y] over z outside {x, y}; inf on the diagonal.
+    O(n^3) time, O(n^2) memory, one row x at a time."""
+    E = _without_loops(D)                     # z == x and z == y drop out
+    minima = np.empty_like(E)
+    for x in range(len(E)):
+        minima[x] = (E[x][:, None] + E).min(axis=0)
+    np.fill_diagonal(minima, np.inf)
+    return minima
 
 
-def _quadrilateral_violations(D: np.ndarray, flagged: np.ndarray, tol: float,
-                              limit: int):
-    """Ordered quadruples (x, u, v, y) with d(x,y) > d(x,u) + d(u,v) + d(v,y)
-    + tol, in lexicographic index order, truncated at ``limit``. Only the
-    pairs ``flagged`` by their three-hop minimum are rescanned, one (x, u)
-    at a time."""
+def _first_violations(D: np.ndarray, flagged: np.ndarray, tol: float, limit: int,
+                      prefixes: Callable):
+    """The first ``limit`` paths (x, *middle, w, y) of pairwise-distinct
+    points, in lexicographic index order, with d(x,y) > cost + tol, each
+    with d(x,y) and its cost. Only the pairs ``flagged`` by their minimal
+    cost are rescanned. ``prefixes(x)`` yields, in index order, each middle
+    (a tuple of indices) with the cost vector of the paths from x through
+    it to every w; the cost of the path to y is that prefix[w] + D[w,y]."""
     n = D.shape[0]
-    found: list[tuple[int, int, int, int]] = []
+    found = []
     for x in np.flatnonzero(flagged.any(axis=1)):
         ys = np.flatnonzero(flagged[x])
-        for u in range(n):
-            if u == x:
-                continue
-            T = (D[x, u] + D[u][:, None]) + D[:, ys]   # T[v, k], y = ys[k]
+        for middle, prefix in prefixes(x):
+            T = prefix[:, None] + D[:, ys]             # T[w, k], y = ys[k]
             V = D[x, ys][None, :] > T + tol
-            V[[x, u], :] = False                        # v in {x, u}
-            V[ys, np.arange(len(ys))] = False           # v == y
-            V[:, ys == u] = False                       # y == u
-            for v, k in np.argwhere(V):
-                found.append((int(x), u, int(v), int(ys[k])))
-                if len(found) >= limit:
-                    return found
+            on_path = np.zeros(n, dtype=bool)
+            on_path[[x, *middle]] = True
+            V[on_path, :] = False                       # w on the path
+            V[:, on_path[ys]] = False                   # y on the path
+            V[ys, np.arange(len(ys))] = False           # w == y
+            for w, k in np.argwhere(V)[:limit - len(found)]:
+                y = int(ys[k])
+                found.append(((int(x), *middle, int(w), y), float(D[x, y]), float(T[w, k])))
+            if len(found) >= limit:
+                return found
     return found
 
 
 def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
                    max_witnesses: int = 8) -> TaxonomyFlags:
     """Test the triangle inequality over all triples and the quadrilateral
-    inequality (s = 1) over all quadruples; report minimal relaxation
-    coefficients for both and the violating tuples with both sides."""
+    inequality (s = 1) over all quadruples, each from its minima kernel;
+    report minimal relaxation coefficients for both (inf where a positive
+    distance has a zero minimal sum) and the first violating tuples in
+    index order with both sides."""
     D = space.dist
     n = len(space.points)
-    pts = space.points
+    if n > MAX_EXHAUSTIVE_POINTS:
+        raise ValueError(
+            f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
 
-    tri, tri_ratio = _triangle_violations(D, tol, max_witnesses)
-    tri_witnesses = tuple(
-        TriangleWitness(pts[x], pts[z], pts[y],
-                        float(D[x, y]), float(D[x, z] + D[z, y]))
-        for x, z, y in tri)
+    def decide(minima, prefixes, witness):
+        flagged = D > minima + tol
+        found = _first_violations(D, flagged, tol, max_witnesses, prefixes)
+        return (not flagged.any(), max(1.0, float(_ratio_matrix(D, minima).max())),
+                tuple(witness(*(space.points[i] for i in path), lhs, rhs)
+                      for path, lhs, rhs in found))
 
+    is_metric, b_metric_s, triangles = True, None, ()
+    if n >= 3:
+        is_metric, b_metric_s, triangles = decide(
+            _two_hop_minima(D), lambda x: [((), D[x])], TriangleWitness)
+    is_rect, b_rect_s, quadrilaterals = True, None, ()
     if n >= 4:
-        if n > MAX_EXHAUSTIVE_POINTS:
-            raise ValueError(
-                f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
-        denom = space._three_hop_minima
-        flagged = D > denom + tol
-        quad = _quadrilateral_violations(D, flagged, tol, max_witnesses)
-        quad_witnesses = tuple(
-            QuadrilateralWitness(pts[x], pts[u], pts[v], pts[y],
-                                 float(D[x, y]),
-                                 float(D[x, u] + D[u, v] + D[v, y]))
-            for x, u, v, y in quad)
-        b_rect = max(1.0, float(_ratio_matrix(D, denom).max()))
-        is_rect = not flagged.any()
-    else:
-        quad_witnesses = ()
-        b_rect = None
-        is_rect = True
-
-    return TaxonomyFlags(
-        is_metric=not tri_witnesses,
-        is_rectangular=is_rect,
-        b_metric_s=(max(1.0, tri_ratio) if n >= 3 else None),
-        b_rectangular_s=b_rect,
-        triangle_witnesses=tri_witnesses,
-        quadrilateral_witnesses=quad_witnesses)
+        is_rect, b_rect_s, quadrilaterals = decide(
+            space._three_hop_minima,
+            lambda x: (((u,), D[x, u] + D[u]) for u in range(n) if u != x),
+            QuadrilateralWitness)
+    return TaxonomyFlags(is_metric, is_rect, b_metric_s, b_rect_s, triangles, quadrilaterals)

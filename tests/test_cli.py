@@ -204,6 +204,59 @@ class TestReports:
         assert out["report"]["result"]["status"] == "converged"
 
 
+    def test_classify_zero_distances_need_infinite_coefficient(self, tmp_path, capsys):
+        # every distance 0 but d(a,e) = 1: the three-hop sum of (a, e) is 0
+        # while d(a,e) > 0, so no finite coefficient makes the table rectangular
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({
+            "points": ["a", "b", "c", "d", "e"],
+            "distances": [[0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]}))
+        code, out = run_json(capsys, ["classify", str(path)])
+        report = out["report"]
+        assert code == 0
+        assert report["is_rectangular"] is False
+        assert report["b_rectangular_s"] == "inf"
+        assert report["b_metric_s"] == "inf"
+        w = report["quadrilateral_witnesses"][0]
+        assert (w["x"], w["u"], w["v"], w["y"], w["lhs"], w["rhs"]) == \
+            ("a", "b", "c", "e", 1.0, 0.0)
+
+
+class TestClosure:
+    """A map must send its continuous domain (a fixture's finite values
+    plus its interval, or an --domain interval) into itself."""
+
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--domain", "interval:0,1", "--map", "x/2+2", "--x0", "0.5"],
+        ["iterate", "--fixture", "example-3.4", "--map", "x/4", "--x0", "1.5"],
+        ["check", "--fixture", "example-3.4", "--map", "x/4", "--variant", "typeF",
+         "--grid", "20"],
+        ["check", "--fixture", "example-3.4", "--map", "x/4", "--variant", "typeF",
+         "--sample", "200"],
+    ])
+    def test_image_outside_domain_is_closure_error(self, argv, capsys):
+        assert dispatch(argv) == 2
+        assert "outside the represented point set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--domain", "interval:0,1", "--map", "x/2", "--x0", "2"],
+        ["iterate", "--fixture", "example-3.4", "--x0", "3"],
+    ])
+    def test_start_outside_domain_is_input_error(self, argv, capsys):
+        assert dispatch(argv) == 2
+        assert "is not a point of the domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--domain", "interval:0,1", "--map", "x/2", "--x0", "1"],
+        ["iterate", "--fixture", "example-3.4", "--x0", "1/3"],
+        ["iterate", "--fixture", "example-3.10", "--x0", "2.5"],
+        ["check", "--fixture", "example-3.10", "--variant", "typeIm", "--sample", "200"],
+    ])
+    def test_maps_into_the_domain_pass(self, argv):
+        assert dispatch(argv) == 0
+
+
 class TestConfig:
     def test_config_supplies_required_flag(self, space_file, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -213,6 +213,8 @@ def test_audit_matches_reference_on_random_gaps():
         assert report.suffix_start2 == _reference_suffix_start(logs[1])
         assert report.scaled1_trending_zero == _reference_eventually_decreasing(logs[0])
         assert report.scaled2_trending_zero == _reference_eventually_decreasing(logs[1])
+        rates = [b / a for a, b in zip(gaps[0], gaps[0][1:]) if a > 0]
+        assert report.tail_rate == (rates[-1] if rates else None)
 
 
 class TestScalingCondition:

@@ -20,6 +20,7 @@ from contractum.fixtures import EXAMPLE_2_2, EXAMPLE_3_4
 from contractum.spaces import (
     _SAMPLE_BLOCK,
     FiniteSpace,
+    TriangleWitness,
     _sample_quadruples,
     classify_space,
     load_space,
@@ -48,11 +49,24 @@ def oracle_max_ratio(D):
     return best, best_quad
 
 
+def oracle_ratio(lhs, rhs):
+    """lhs / rhs as a coefficient needs it: inf over a zero sum with a
+    positive lhs, None (no constraint) for 0 / 0."""
+    if rhs > 0:
+        return lhs / rhs
+    return math.inf if lhs > 0 else None
+
+
+def oracle_coefficient(ratios):
+    """The minimal coefficient: the largest ratio, clamped below at 1."""
+    return max([1.0] + [r for r in ratios if r is not None])
+
+
 def oracle_witnesses(D, limit=8, tol=1e-12):
     """The first ``limit`` quadruples violating the s = 1 inequality, in
-    lexicographic index order, and the extremal quadruple as
-    CoefficientReport defines it: the lexicographically smallest one among
-    the pairs of maximal ratio, taken with its pair's minimal sum."""
+    lexicographic index order; the extremal quadruple as CoefficientReport
+    defines it: the lexicographically smallest one among the pairs of
+    maximal ratio, taken with its pair's minimal sum; and b_rectangular_s."""
     n = D.shape[0]
     quads = list(itertools.permutations(range(n), 4))
     total = {q: (D[q[0], q[1]] + D[q[1], q[2]]) + D[q[2], q[3]] for q in quads}
@@ -60,11 +74,22 @@ def oracle_witnesses(D, limit=8, tol=1e-12):
     denom = {}
     for (i, u, v, j), t in total.items():
         denom[i, j] = min(denom.get((i, j), np.inf), t)
-    best = max(D[i, j] / d for (i, j), d in denom.items())
+    ratio = {pair: oracle_ratio(D[pair], d) for pair, d in denom.items()}
+    best = max(r for r in ratio.values() if r is not None)
     extremal = next(q for q in quads
-                    if D[q[0], q[3]] / denom[q[0], q[3]] == best
-                    and total[q] == denom[q[0], q[3]])
-    return violations, extremal
+                    if ratio[q[0], q[3]] == best and total[q] == denom[q[0], q[3]])
+    coefficient = oracle_coefficient(oracle_ratio(D[q[0], q[3]], total[q]) for q in quads)
+    return violations, extremal, coefficient
+
+
+def oracle_triangles(D, limit=8, tol=1e-12):
+    """The first ``limit`` triples (x, z, y) violating the triangle
+    inequality, in lexicographic index order, and b_metric_s."""
+    triples = list(itertools.permutations(range(D.shape[0]), 3))
+    total = {t: D[t[0], t[1]] + D[t[1], t[2]] for t in triples}
+    violations = [t for t in triples if D[t[0], t[2]] > total[t] + tol][:limit]
+    coefficient = oracle_coefficient(oracle_ratio(D[t[0], t[2]], total[t]) for t in triples)
+    return violations, total, coefficient
 
 
 def oracle_triangle_ok(D, tol=1e-12):
@@ -98,8 +123,15 @@ def inflated_line_table(rng, n, inflated=2):
     return D
 
 
+def zero_table(rng, n):
+    """Distances 0, 1 or 2: zero entries off the diagonal give zero sums,
+    so infinite coefficients and 0 / 0 ratios."""
+    D = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), 1)
+    return D + D.T
+
+
 TABLE_KINDS = {"integer": integer_table, "uniform": random_symmetric_table,
-               "inflated_line": inflated_line_table}
+               "inflated_line": inflated_line_table, "zeros": zero_table}
 
 
 def labeled(D):
@@ -358,14 +390,22 @@ class TestClassifySpace:
     def test_witnesses_match_oracle_order(self, kind, n):
         D = TABLE_KINDS[kind](np.random.default_rng(10 * n), n)
         sp = labeled(D)
-        violations, extremal = oracle_witnesses(D)
+        violations, extremal, b_rectangular_s = oracle_witnesses(D)
+        triangles, two_hop, b_metric_s = oracle_triangles(D)
         flags = classify_space(sp)
         got = [tuple(int(p) for p in (w.x, w.u, w.v, w.y))
                for w in flags.quadrilateral_witnesses]
         assert got == violations
         assert flags.is_rectangular == (not violations)
-        w = validate_space(sp, 1.0).extremal
-        assert tuple(int(p) for p in (w.x, w.u, w.v, w.y)) == extremal
+        assert flags.triangle_witnesses == tuple(
+            TriangleWitness(str(x), str(z), str(y), float(D[x, y]), float(two_hop[x, z, y]))
+            for x, z, y in triangles)
+        assert flags.is_metric == (not triangles)
+        assert flags.b_metric_s == b_metric_s
+        assert flags.b_rectangular_s == b_rectangular_s
+        if kind != "zeros":  # a zero distance ends validation before the ratios
+            w = validate_space(sp, 1.0).extremal
+            assert tuple(int(p) for p in (w.x, w.u, w.v, w.y)) == extremal
 
     def test_classify_memory_stays_quadratic(self):
         x = np.random.default_rng(200).uniform(0.0, 10.0, 200)
