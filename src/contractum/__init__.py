@@ -10,6 +10,7 @@ from .errors import (
     InsufficientDataError,
     MalformedSpaceError,
     NumericError,
+    SizeLimitError,
 )
 from .spaces import (
     CoefficientReport,
@@ -77,7 +78,7 @@ __all__ = [
     "IntegralProblem", "IntegralSolution", "IterationConfig",
     "IterationStatus", "IterationTrace", "KernelConditionReport",
     "MalformedSpaceError", "NumericError", "PairVerdict",
-    "QuadrilateralWitness", "SampledSpace", "Status", "TaxonomyFlags",
+    "QuadrilateralWitness", "SampledSpace", "SizeLimitError", "Status", "TaxonomyFlags",
     "TraceDiagnostics", "TriangleWitness", "UniquenessReport", "Variant",
     "VerificationSummary", "apply_operator", "audit_trace", "builtin_pair",
     "check_increasing", "check_limit_heuristics", "check_pair",

@@ -47,6 +47,11 @@ class InsufficientDataError(ContractumError):
     """A diagnostic was requested on a trace too short to support it."""
 
 
+class SizeLimitError(ContractumError, ValueError):
+    """A table has more points than an exhaustive check allows; the caller
+    must sample instead."""
+
+
 class ExpressionError(ContractumError):
     """An expression string failed to parse or used a disallowed token."""
 

@@ -7,10 +7,21 @@ theory, so it is the honest stopping rule). An exact revisit of an earlier
 iterate with a nonzero gap cannot happen for a genuine contraction, so it
 is flagged as cycle_detected rather than looping forever.
 
+Each step applies T, calls the metric once, compares the residual with
+the tolerance and records the iterate. The loop keeps no set of visited
+points: Brent's cycle finding (Brent 1980, BIT 20) compares a checkpoint
+x_c, for c = 0, 1, 3, 7, ..., with the iterates up to x_{2c+1}, so a
+cycle is met within about twice the steps to its first repeat. A hit, or
+max_iter, ends the loop, and one scan of the recorded orbit then finds
+the first revisit. The result is the one a check at every step gives.
+gap2 = d(x_n, x_{n+2}) is computed after the loop.
+
 Diagnostics audit what a convergent contraction orbit must look like:
 strictly decreasing consecutive gaps, and coefficient-scaled gaps
 s^n * d(x_n, x_{n+1}) trending to zero. The scaled sequences are handled
-in log space (n * ln s + ln gap) because s^n overflows quickly for s = 3.
+in log space (n * ln s + ln gap) because s^n overflows quickly for s = 3;
+the audit compares them with np.log and decides near-ties with math.log,
+which the trace's columns use.
 """
 
 from __future__ import annotations
@@ -96,9 +107,11 @@ class IterationTrace:
                 ])
 
 
-def _log_scaled(gaps: Sequence[float], s: float) -> list[float]:
+def _log_scaled(gaps: Sequence[float], s: float, first: int = 0) -> list[float]:
+    """n * ln(s) + ln(gaps[k]) at n = first + k; -inf where a gap is not positive."""
     ls = math.log(s)
-    return [n * ls + (math.log(g) if g > 0 else -math.inf) for n, g in enumerate(gaps)]
+    return [n * ls + (math.log(g) if g > 0 else -math.inf)
+            for n, g in enumerate(gaps, first)]
 
 
 def _exp(logs: Sequence[float]) -> list[float]:
@@ -144,11 +157,47 @@ def _revisit_key(point):
     return point.tobytes() if isinstance(point, np.ndarray) else point
 
 
-def _checked_distance(metric, a, b) -> float:
-    d = float(metric(a, b))
+def _keys(points: list) -> list:
+    """The revisit key of each point; the points themselves when none is
+    an array, which one pass over their types decides."""
+    if any(issubclass(t, np.ndarray) for t in set(map(type, points))):
+        return [_revisit_key(p) for p in points]
+    return points
+
+
+def _first_revisit(points: list) -> int | None:
+    """Index of the first point whose key equals an earlier point's key."""
+    seen = set()
+    for n, key in enumerate(_keys(points)):
+        if key in seen:
+            return n
+        seen.add(key)
+    return None
+
+
+def _checked(d: float, a, b) -> float:
+    """The distance d from a to b, or NumericError when it is NaN or negative."""
     if math.isnan(d) or d < 0:
         raise NumericError(f"metric returned {d!r}", where=(a, b))
     return d
+
+
+def _advance(T: Callable, metric: Callable, tol: float, points: list, gaps: list,
+             steps: int) -> bool:
+    """Take up to ``steps`` steps from points[-1], appending each image to
+    points and each residual to gaps. True when a residual reaches tol."""
+    add_point, add_gap = points.append, gaps.append
+    x = points[-1]
+    for _ in range(steps):
+        fx = T(x)
+        r = metric(x, fx)
+        add_point(fx)
+        add_gap(r)
+        if not r > tol:                       # also true for NaN and negatives
+            _checked(float(r), x, fx)
+            return True
+        x = fx
+    return False
 
 
 def iterate(T: Callable, x0, metric: Callable[[Any, Any], float],
@@ -158,75 +207,73 @@ def iterate(T: Callable, x0, metric: Callable[[Any, Any], float],
     iterate with nonzero gap is seen (cycle_detected, a hypothesis
     violation for contractions). The returned point is T of the last
     iterate; a fixed starting point converges in 0 iterations.
+
+    Iterates must be hashable; x0 is checked at once. Brent's checkpoints
+    only decide when to stop (see the module docstring), so the reported
+    revisit is the first in the orbit. The one revisit they can miss: 0.0
+    and -0.0 are one point, and under a map that tells them apart their
+    repeat need not start a cycle, so an orbit that converges before a
+    checkpoint meets the repeat reports converged.
     """
-    x = x0
-    seen = {_revisit_key(x0)}
-    points = [x0] if config.record_trace else None
-    gap1: list[float] = [] if config.record_trace else None
-
-    status = IterationStatus.MAX_ITER_EXCEEDED
-    residual = math.inf
-    iterations = config.max_iter
-    for n in range(config.max_iter):
-        fx = T(x)
-        r = _checked_distance(metric, x, fx)
-        if config.record_trace:
-            points.append(fx)
-            gap1.append(r)
-        if r <= config.tol:
-            status = IterationStatus.CONVERGED
-            residual = r
-            iterations = n
-            x = fx
+    hash(_revisit_key(x0))                    # the revisit scan hashes every iterate
+    points, gaps = [x0], []
+    checkpoint = 0                            # steps taken so far: 0, 1, 3, 7, ...
+    while True:
+        stop = min(2 * checkpoint + 1, config.max_iter)
+        if _advance(T, metric, config.tol, points, gaps, stop - checkpoint):
+            status, end = IterationStatus.CONVERGED, len(gaps)
             break
-        key = _revisit_key(fx)
-        if key in seen:
-            status = IterationStatus.CYCLE_DETECTED
-            residual = r
-            iterations = n + 1
-            x = fx
+        if stop == config.max_iter or \
+                _revisit_key(points[checkpoint]) in _keys(points[checkpoint + 1:]):
+            first = _first_revisit(points)
+            status, end = ((IterationStatus.MAX_ITER_EXCEEDED, stop) if first is None
+                           else (IterationStatus.CYCLE_DETECTED, first))
             break
-        seen.add(key)
-        x = fx
-    else:
-        # x is already the final iterate; r is its predecessor's residual
-        residual = r
+        checkpoint = stop
 
+    del points[end + 1:], gaps[end:]
+    gap1 = list(map(float, gaps))
     trace = None
     if config.record_trace:
-        gap2 = [_checked_distance(metric, points[k], points[k + 2])
-                for k in range(len(points) - 2)]
-        trace = IterationTrace(points=points, gap1=gap1, gap2=gap2)
-    return FixedPointResult(point=x, residual=residual, iterations=iterations,
-                            status=status, trace=trace)
+        gap2 = np.fromiter(map(metric, points, points[2:]), dtype=float,
+                           count=len(points) - 2)
+        bad = np.flatnonzero(~(gap2 >= 0))         # NaN or negative
+        if bad.size:
+            k = int(bad[0])
+            _checked(float(gap2[k]), points[k], points[k + 2])
+        trace = IterationTrace(points=points, gap1=gap1, gap2=gap2.tolist())
+    iterations = end - 1 if status is IterationStatus.CONVERGED else end
+    return FixedPointResult(point=points[end], residual=gap1[-1],
+                            iterations=iterations, status=status, trace=trace)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def _strictly_decreasing_while_positive(seq: Sequence[float]) -> bool:
-    """Strict decrease over the positive prefix; once a gap hits zero the
-    orbit is constant, so trailing zeros are fine."""
-    k = len(seq)
-    for i, g in enumerate(seq):
-        if g == 0:
-            k = i
-            break
-    if any(seq[i] != 0 for i in range(k, len(seq))):
-        return False
-    return all(b < a for a, b in zip(seq[:k], seq[1:k]))
+#: band around a tie, relative to the largest term of a log-scaled
+#: sequence, in which math.log re-decides a comparison
+_BAND = 2.0 ** -30
+#: |ln g| is below this for every positive finite float g
+_LOG_RANGE = 745.2
 
 
-def _decreasing_suffix_start(seq: Sequence[float]) -> int:
-    """Index where the maximal strictly-decreasing suffix begins."""
-    start = len(seq) - 1
-    for i in range(len(seq) - 2, -1, -1):
-        if seq[i + 1] < seq[i]:
-            start = i
-        else:
-            break
-    return max(start, 0)
+def _suffix_start(g: np.ndarray, s: float) -> int:
+    """Index where the maximal strictly decreasing suffix of the log-scaled
+    gaps n * ln(s) + ln(g[n]) begins. np.log decides the comparisons; it
+    may differ from math.log in the last bit, so those within _BAND of the
+    largest term are decided again by _log_scaled, as the trace computes
+    them."""
+    ls = math.log(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.arange(len(g)) * ls + np.log(np.where(g > 0, g, 0.0))
+        rise = logs[1:] - logs[:-1]               # nan between two -inf: no fall
+    falls = rise < 0
+    for i in np.flatnonzero(np.abs(rise) <= _BAND * (len(g) * ls + _LOG_RANGE)).tolist():
+        a, b = _log_scaled(g[i:i + 2].tolist(), s, i)
+        falls[i] = b < a
+    rises = np.flatnonzero(~falls)
+    return int(rises[-1]) + 1 if rises.size else 0
 
 
 @dataclass
@@ -258,22 +305,29 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
     if s < 1:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
 
-    start1 = _decreasing_suffix_start(trace.log_scaled1(s))
-    start2 = _decreasing_suffix_start(trace.log_scaled2(s))
-    gaps = trace.gap1
+    gap1, gap2 = trace.gap1, trace.gap2
+    g = np.asarray(gap1, dtype=float)
+    start1 = _suffix_start(g, s)
+    start2 = _suffix_start(np.asarray(gap2, dtype=float), s)
+    # strict decrease over the positive prefix; once a gap hits zero the
+    # orbit is constant, so trailing zeros are fine
+    zero = g == 0
+    head = g[:int(zero.argmax()) if zero.any() else len(g)]
+    decreasing = bool(zero[len(head):].all() and (head[1:] < head[:-1]).all())
     # the rate of the last step that starts from a positive gap
-    last = next((n for n in range(len(gaps) - 2, -1, -1) if gaps[n] > 0), None)
+    starts = np.flatnonzero(g[:-1] > 0)
+    last = int(starts[-1]) if starts.size else None
 
     # a log-scaled sequence trends to zero when its strictly-decreasing
     # suffix covers at least the last half of the recorded window
     # (asymptotic claims are only checkable as trends)
     return TraceDiagnostics(
-        gap1_strictly_decreasing=_strictly_decreasing_while_positive(trace.gap1),
-        scaled1_trending_zero=start1 <= len(trace.gap1) // 2,
-        scaled2_trending_zero=start2 <= len(trace.gap2) // 2,
+        gap1_strictly_decreasing=decreasing,
+        scaled1_trending_zero=start1 <= len(gap1) // 2,
+        scaled2_trending_zero=start2 <= len(gap2) // 2,
         suffix_start1=start1,
         suffix_start2=start2,
-        tail_rate=gaps[last + 1] / gaps[last] if last is not None else None)
+        tail_rate=gap1[last + 1] / gap1[last] if last is not None else None)
 
 
 @dataclass
@@ -352,7 +406,8 @@ def verify_uniqueness(T: Callable, starts: Sequence, metric: Callable,
     agree = True
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            d = _checked_distance(metric, results[i].point, results[j].point)
+            a, b = results[i].point, results[j].point
+            d = _checked(float(metric(a, b)), a, b)
             pairwise.append((i, j, d))
             if d > threshold:
                 agree = False

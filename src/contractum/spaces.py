@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ClosureError, MalformedSpaceError
+from .errors import ClosureError, MalformedSpaceError, SizeLimitError
 
 DEFAULT_TOL = 1e-12
 
@@ -526,7 +526,7 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
                                  axiom1_failures=axiom1)
 
     if sample is None and n > MAX_EXHAUSTIVE_POINTS:
-        raise ValueError(
+        raise SizeLimitError(
             f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS}); "
             f"pass sample=<count> to check a random subset of quadruples")
 
@@ -619,7 +619,7 @@ def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
     D = space.dist
     n = len(space.points)
     if n > MAX_EXHAUSTIVE_POINTS:
-        raise ValueError(
+        raise SizeLimitError(
             f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
 
     def decide(minima, prefixes, witness):

@@ -196,6 +196,17 @@ class TestReports:
         assert dispatch(argv) == 2
         assert "non-finite distance inf at ('a', 'e')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["validate-space", "--s", "2"], ["classify"], ["min-s"]])
+    def test_table_beyond_exhaustive_limit_is_input_error(self, argv, tmp_path, capsys):
+        # 201 points on a line: one more than MAX_EXHAUSTIVE_POINTS
+        path = tmp_path / "line201.csv"
+        n = 201
+        rows = [",".join(f"p{i}" for i in range(n))]
+        rows += [",".join(str(abs(i - j)) for j in range(n)) for i in range(n)]
+        path.write_text("\n".join(rows) + "\n")
+        assert dispatch([argv[0], str(path), *argv[1:]]) == 2
+        assert "201 points exceeds the exhaustive limit (200)" in capsys.readouterr().err
+
     def test_solve_integral_profile_start(self, capsys):
         code, out = run_json(capsys, [
             "solve-integral", "--a", "0", "--b", "1", "--lambda", "0.01", "--s", "3",
