@@ -306,8 +306,7 @@ def _iterate_domain(args):
 
 def _cmd_iterate(args) -> tuple[int, dict, list[str]]:
     metric, T, x0, s = _iterate_domain(args)
-    config = IterationConfig(tol=args.tol, max_iter=args.max_iter,
-                             record_trace=True)
+    config = IterationConfig(tol=args.tol, max_iter=args.max_iter)
     result = iterate(T, x0, metric, config)
     report = result.to_dict()
     lines = [
@@ -316,7 +315,7 @@ def _cmd_iterate(args) -> tuple[int, dict, list[str]]:
         f"residual: {result.residual}",
         f"iterations: {result.iterations}",
     ]
-    if result.trace and len(result.trace.points) >= 3:
+    if len(result.trace.points) >= 3:
         diag = audit_trace(result.trace, s)
         report["diagnostics"] = diag.to_dict()
         lines.append(f"gap1 strictly decreasing: {diag.gap1_strictly_decreasing}")
@@ -359,7 +358,7 @@ def _cmd_solve_integral(args) -> tuple[int, dict, list[str]]:
         resid = refined_residual(problem, solution.values)
         report["refined_residual"] = resid
         lines.append(f"refined-quadrature residual: {resid}")
-    if args.trace and result.trace is not None:
+    if args.trace:
         result.trace.write_csv(args.trace, s=problem.s)
         lines.append(f"trace written to {args.trace}")
     if args.out:

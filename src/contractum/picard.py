@@ -47,7 +47,6 @@ class IterationStatus(str, Enum):
 class IterationConfig:
     tol: float = 1e-9
     max_iter: int = 1_000_000
-    record_trace: bool = True
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -140,7 +139,7 @@ class FixedPointResult:
     residual: float
     iterations: int
     status: IterationStatus
-    trace: IterationTrace | None = None
+    trace: IterationTrace
 
     @property
     def converged(self) -> bool:
@@ -233,15 +232,13 @@ def iterate(T: Callable, x0, metric: Callable[[Any, Any], float],
 
     del points[end + 1:], gaps[end:]
     gap1 = list(map(float, gaps))
-    trace = None
-    if config.record_trace:
-        gap2 = np.fromiter(map(metric, points, points[2:]), dtype=float,
-                           count=len(points) - 2)
-        bad = np.flatnonzero(~(gap2 >= 0))         # NaN or negative
-        if bad.size:
-            k = int(bad[0])
-            _checked(float(gap2[k]), points[k], points[k + 2])
-        trace = IterationTrace(points=points, gap1=gap1, gap2=gap2.tolist())
+    gap2 = np.fromiter(map(metric, points, points[2:]), dtype=float,
+                       count=len(points) - 2)
+    bad = np.flatnonzero(~(gap2 >= 0))             # NaN or negative
+    if bad.size:
+        k = int(bad[0])
+        _checked(float(gap2[k]), points[k], points[k + 2])
+    trace = IterationTrace(points=points, gap1=gap1, gap2=gap2.tolist())
     iterations = end - 1 if status is IterationStatus.CONVERGED else end
     return FixedPointResult(point=points[end], residual=gap1[-1],
                             iterations=iterations, status=status, trace=trace)

@@ -12,12 +12,14 @@ table. The central questions answered here are:
   space (quadrilateral inequality with s = 1), and if not, which concrete
   tuple breaks it.
 
-Every exhaustive answer comes from a min-plus kernel: for each pair, the
-minimal two-hop sum d(x,z) + d(z,y) (triangles) or three-hop sum
-(quadrilaterals) over its admissible middle points, in O(n^3) time and
-O(n^2) memory. A pair violates an inequality iff its distance exceeds that
-minimum by more than the tolerance; its coefficient is the distance over
-the minimum. Witnesses come from rescanning only the violating pairs.
+Every exhaustive answer comes from one min-plus kernel pass, O(n^3) time
+and O(n^2) memory, that gives for each pair both the minimal two-hop sum
+d(x,z) + d(z,y) (triangles) and the minimal three-hop sum (quadrilaterals)
+over its admissible middle points; a loaded table keeps both. A pair
+violates an inequality iff its distance exceeds that minimum by more than
+the tolerance; its coefficient is the distance over the minimum. Every
+witness, classify's violations and validate's extremal quadruple alike,
+comes from one rescan of only the pairs it concerns.
 
 Distances are stored as floats and compared with an absolute tolerance
 (default 1e-12); exact rational input such as ``"1/2"`` is accepted in
@@ -40,10 +42,13 @@ from .errors import ClosureError, MalformedSpaceError, SizeLimitError
 
 DEFAULT_TOL = 1e-12
 
-# Exhaustive quadruple enumeration is the default up to this many points
-# (worst case ~1.5e9 ordered quadruples, handled vectorized); beyond it a
-# caller must opt into sampling explicitly.
-MAX_EXHAUSTIVE_POINTS = 200
+# validate_space, minimal_coefficient and classify_space are exhaustive up
+# to this many points; beyond it validate_space needs an explicit sample and
+# the others refuse. Each costs one O(n^3) kernel pass, and the limit keeps
+# that within a budget of about 1 s: 0.88-0.92 s per command at n = 450 and
+# 1.11-1.17 s at n = 500 on |x_i - x_j|^1.75 tables, table load excluded
+# (2-core x86-64, Python 3.11, numpy 2.4).
+MAX_EXHAUSTIVE_POINTS = 450
 
 
 def parse_number(value) -> float:
@@ -133,12 +138,14 @@ class FiniteSpace:
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})
 
     @cached_property
-    def _three_hop_minima(self) -> np.ndarray:
-        """_pair_denominator_minima of the read-only table, computed once
-        for validate_space, minimal_coefficient and classify_space."""
-        denom = _pair_denominator_minima(self.dist)
-        denom.flags.writeable = False
-        return denom
+    def _hop_minima(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two- and three-hop minima of the read-only table, from one
+        _pair_denominator_minima pass shared by validate_space,
+        minimal_coefficient and classify_space."""
+        minima = _pair_denominator_minima(self.dist)
+        for m in minima:
+            m.flags.writeable = False
+        return minima
 
     @classmethod
     def from_table(cls, points: Sequence, table: Sequence[Sequence]) -> "FiniteSpace":
@@ -397,32 +404,34 @@ def _without_loops(D: np.ndarray) -> np.ndarray:
     return E
 
 
-def _pair_denominator_minima(D: np.ndarray) -> np.ndarray:
-    """For every ordered pair (i, j): the minimum of
-    D[i,u] + D[u,v] + D[v,j] over u != v, both outside {i, j}.
+def _pair_denominator_minima(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every ordered pair (i, j): the two-hop minimum of
+    D[i,z] + D[z,j] over z outside {i, j}, and the three-hop minimum of
+    D[i,u] + D[u,v] + D[v,j] over u != v, both outside {i, j}; inf on the
+    diagonal and where no middle point is admissible.
 
-    O(n^3) time, O(n^2) memory. Sums are associated as
-    (D[i,u] + D[u,v]) + D[v,j], the order every witness rescan uses, so a
-    rescanned quadruple attains its pair's minimum bit for bit and ties
-    between quadruples are exact.
+    O(n^3) time, O(n^2) memory. Row i's two-hop minima are the first
+    minimum its three-hop row is built from. Sums are associated as
+    (D[i,u] + D[u,v]) + D[v,j], the order the witness rescan uses, so a
+    rescanned path attains its pair's minimum bit for bit and ties between
+    paths are exact.
     """
     n = D.shape[0]
     idx = np.arange(n)
     E = _without_loops(D)                     # u == i, u == v and v == j drop out
-    denom = np.full((n, n), np.inf)
+    two, three = np.empty((n, n)), np.empty((n, n))
     for i in range(n):
         B = E[i][:, None] + E                 # B[u, v] = D[i,u] + D[u,v]
         B[:, i] = np.inf                      # v == i
         u1 = B.argmin(axis=0)
-        m1 = B[u1, idx]
+        m1 = two[i] = B[u1, idx]
         B[u1, idx] = np.inf
         m2 = B.min(axis=0)
         # min over u excluding u == j: runner-up where the argmin is j itself
         best_u = np.where(u1[:, None] == idx[None, :], m2[:, None], m1[:, None])
-        row = (best_u + E).min(axis=0)        # over v of min_u(...) + D[v, j]
-        row[i] = np.inf
-        denom[i] = row
-    return denom
+        three[i] = (best_u + E).min(axis=0)   # over v of min_u(...) + D[v, j]
+        three[i, i] = np.inf
+    return two, three
 
 
 def _ratio_matrix(D: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -432,29 +441,43 @@ def _ratio_matrix(D: np.ndarray, denom: np.ndarray) -> np.ndarray:
         return np.where(D > 0, D / denom, 0.0)
 
 
-def _extremal_quadruple(space: FiniteSpace, D: np.ndarray, ratios: np.ndarray,
-                        target: float) -> QuadrilateralWitness | None:
-    """Lexicographically smallest quadruple (by point index) among those
-    achieving ratio == target with their pair's minimal sum."""
-    pairs = np.argwhere(ratios == target)
-    if pairs.size == 0:
-        return None
-    n = D.shape[0]
-    idx = np.arange(n)
-    i = int(pairs[0, 0])                      # argwhere is row-major
-    candidates: list[tuple[int, int, int, int]] = []
-    for j in pairs[pairs[:, 0] == i, 1]:
-        S = (D[i][:, None] + D) + D[:, j][None, :]   # S[u, v]
-        S[idx, idx] = np.inf                  # u == v
-        S[[i, j], :] = np.inf                 # u in {i, j}
-        S[:, [i, j]] = np.inf                 # v in {i, j}
-        u, v = np.unravel_index(int(S.argmin()), S.shape)   # first minimum
-        candidates.append((i, int(u), int(v), int(j)))
-    qi, qu, qv, qj = min(candidates)
-    pts = space.points
-    lhs = float(D[qi, qj])
-    rhs = float(D[qi, qu] + D[qu, qv] + D[qv, qj])
-    return QuadrilateralWitness(pts[qi], pts[qu], pts[qv], pts[qj], lhs, rhs)
+# The witness rescan takes middle points u in blocks of at most this many
+# path costs (u x w x flagged y); a block holds at least one u.
+_RESCAN_BLOCK = 1 << 12
+
+
+def _rescan(space: FiniteSpace, flagged: np.ndarray, hit: Callable, limit: int,
+            witness: type) -> tuple:
+    """Witnesses for the first ``limit`` paths (x, u, w, y), in
+    lexicographic index order, over the ``flagged`` pairs (x, y), whose
+    cost (D[x,u] + D[u,w]) + D[w,y] passes ``hit(x, ys, cost)``; u lies
+    outside {x, w, y} and w outside {x, y}. A TriangleWitness path
+    (x, w, y) is scanned as (x, x, w, y), since D[x,x] = 0 adds nothing.
+    ``cost`` holds the paths through a block of u to every w and every
+    flagged y = ys[k], indexed [u, w, k]."""
+    D, pts = space.dist, space.points
+    n = len(pts)
+    triangle = witness is TriangleWitness
+    found = []
+    for x in np.flatnonzero(flagged.any(axis=1)):
+        ys = np.flatnonzero(flagged[x])
+        us = np.array([x]) if triangle else np.delete(np.arange(n), x)
+        step = max(1, _RESCAN_BLOCK // (n * len(ys)))
+        for start in range(0, len(us), step):
+            u = us[start:start + step]
+            cost = (D[x, u][:, None] + D[u])[:, :, None] + D[:, ys]
+            H = hit(x, ys, cost)
+            H[:, x] = False                                  # w == x
+            H[np.arange(len(u)), u] = False                  # w == u
+            H &= (u[:, None] != ys)[:, None, :]              # y == u
+            H[:, ys, np.arange(len(ys))] = False             # w == y
+            for a, w, k in np.argwhere(H)[:limit - len(found)]:
+                path = (x, w, ys[k]) if triangle else (x, u[a], w, ys[k])
+                found.append(witness(*(pts[i] for i in path),
+                                     float(D[x, ys[k]]), float(cost[a, w, k])))
+            if len(found) >= limit:
+                return tuple(found)
+    return tuple(found)
 
 
 # Sampled quadruples are drawn and evaluated this many at a time, so memory
@@ -501,10 +524,12 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
                    sample: int | None = None, seed: int = 0) -> CoefficientReport:
     """Check all three axioms at coefficient ``s``.
 
-    holds is true iff no distinct pair has zero distance and every
-    admissible quadruple satisfies d(x,y) <= s * sum + tol. minimal_s is
-    filled by exhaustive enumeration (or by sampling when ``sample`` is
-    given, mandatory above MAX_EXHAUSTIVE_POINTS). Spaces with fewer than
+    holds is true iff no distinct pair has distance <= tol and the maximal
+    ratio d(x,y) / sum over admissible quadruples is at most s + tol: here
+    tol bounds the ratio's excess over s, not d(x,y) - s * sum (unlike
+    classify_space, which flags d(x,y) > sum + tol). minimal_s is filled
+    by exhaustive enumeration (or by sampling when ``sample`` is given,
+    mandatory above MAX_EXHAUSTIVE_POINTS). Spaces with fewer than
     4 points have no admissible quadruple; they report minimal_s = 1 with
     the vacuous flag set.
     """
@@ -531,10 +556,13 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
             f"pass sample=<count> to check a random subset of quadruples")
 
     if sample is None:
-        D = space.dist
-        ratios = _ratio_matrix(D, space._three_hop_minima)
+        minima = space._hop_minima[1]
+        ratios = _ratio_matrix(space.dist, minima)
         max_ratio = float(ratios.max())
-        extremal = _extremal_quadruple(space, D, ratios, max_ratio)
+        # the first quadruple of a maximal-ratio pair that attains its minimum
+        extremal = next(iter(_rescan(space, ratios == max_ratio,
+                                     lambda x, ys, cost: cost <= minima[x, ys], 1,
+                                     QuadrilateralWitness)), None)
     else:
         if sample < 1:
             raise ValueError("sample count must be >= 1")
@@ -569,46 +597,6 @@ def minimal_coefficient(space: FiniteSpace, *, tol: float = DEFAULT_TOL) -> floa
 # taxonomy
 
 
-def _two_hop_minima(D: np.ndarray) -> np.ndarray:
-    """For every ordered pair (x, y) with x != y: the minimum of
-    D[x,z] + D[z,y] over z outside {x, y}; inf on the diagonal.
-    O(n^3) time, O(n^2) memory, one row x at a time."""
-    E = _without_loops(D)                     # z == x and z == y drop out
-    minima = np.empty_like(E)
-    for x in range(len(E)):
-        minima[x] = (E[x][:, None] + E).min(axis=0)
-    np.fill_diagonal(minima, np.inf)
-    return minima
-
-
-def _first_violations(D: np.ndarray, flagged: np.ndarray, tol: float, limit: int,
-                      prefixes: Callable):
-    """The first ``limit`` paths (x, *middle, w, y) of pairwise-distinct
-    points, in lexicographic index order, with d(x,y) > cost + tol, each
-    with d(x,y) and its cost. Only the pairs ``flagged`` by their minimal
-    cost are rescanned. ``prefixes(x)`` yields, in index order, each middle
-    (a tuple of indices) with the cost vector of the paths from x through
-    it to every w; the cost of the path to y is that prefix[w] + D[w,y]."""
-    n = D.shape[0]
-    found = []
-    for x in np.flatnonzero(flagged.any(axis=1)):
-        ys = np.flatnonzero(flagged[x])
-        for middle, prefix in prefixes(x):
-            T = prefix[:, None] + D[:, ys]             # T[w, k], y = ys[k]
-            V = D[x, ys][None, :] > T + tol
-            on_path = np.zeros(n, dtype=bool)
-            on_path[[x, *middle]] = True
-            V[on_path, :] = False                       # w on the path
-            V[:, on_path[ys]] = False                   # y on the path
-            V[ys, np.arange(len(ys))] = False           # w == y
-            for w, k in np.argwhere(V)[:limit - len(found)]:
-                y = int(ys[k])
-                found.append(((int(x), *middle, int(w), y), float(D[x, y]), float(T[w, k])))
-            if len(found) >= limit:
-                return found
-    return found
-
-
 def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
                    max_witnesses: int = 8) -> TaxonomyFlags:
     """Test the triangle inequality over all triples and the quadrilateral
@@ -622,21 +610,15 @@ def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
         raise SizeLimitError(
             f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})")
 
-    def decide(minima, prefixes, witness):
+    def decide(minima, witness):
         flagged = D > minima + tol
-        found = _first_violations(D, flagged, tol, max_witnesses, prefixes)
         return (not flagged.any(), max(1.0, float(_ratio_matrix(D, minima).max())),
-                tuple(witness(*(space.points[i] for i in path), lhs, rhs)
-                      for path, lhs, rhs in found))
+                _rescan(space, flagged, lambda x, ys, cost: D[x, ys] > cost + tol,
+                        max_witnesses, witness))
 
-    is_metric, b_metric_s, triangles = True, None, ()
-    if n >= 3:
-        is_metric, b_metric_s, triangles = decide(
-            _two_hop_minima(D), lambda x: [((), D[x])], TriangleWitness)
-    is_rect, b_rect_s, quadrilaterals = True, None, ()
-    if n >= 4:
-        is_rect, b_rect_s, quadrilaterals = decide(
-            space._three_hop_minima,
-            lambda x: (((u,), D[x, u] + D[u]) for u in range(n) if u != x),
-            QuadrilateralWitness)
+    two_hop, three_hop = space._hop_minima
+    is_metric, b_metric_s, triangles = (
+        decide(two_hop, TriangleWitness) if n >= 3 else (True, None, ()))
+    is_rect, b_rect_s, quadrilaterals = (
+        decide(three_hop, QuadrilateralWitness) if n >= 4 else (True, None, ()))
     return TaxonomyFlags(is_metric, is_rect, b_metric_s, b_rect_s, triangles, quadrilaterals)

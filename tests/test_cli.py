@@ -72,13 +72,16 @@ class TestReports:
         assert code == 0
         assert out["report"]["minimal_s"] == pytest.approx(25 / 24, abs=1e-12)
 
-    def test_min_s_makes_one_kernel_pass(self, space_file, monkeypatch):
+    @pytest.mark.parametrize("argv, code", [(["validate-space", "--s", "1"], 1),
+                                            (["classify"], 0), (["min-s"], 0)],
+                             ids=["validate-space", "classify", "min-s"])
+    def test_table_command_makes_one_kernel_pass(self, argv, code, space_file, monkeypatch):
         from contractum import spaces
         kernel = spaces._pair_denominator_minima
         calls = []
         monkeypatch.setattr(spaces, "_pair_denominator_minima",
                             lambda D: calls.append(D.shape) or kernel(D))
-        assert dispatch(["min-s", str(space_file)]) == 0
+        assert dispatch([argv[0], str(space_file), *argv[1:]]) == code
         assert calls == [(4, 4)]
 
     def test_check_summary_shape(self, capsys):
@@ -198,14 +201,17 @@ class TestReports:
 
     @pytest.mark.parametrize("argv", [["validate-space", "--s", "2"], ["classify"], ["min-s"]])
     def test_table_beyond_exhaustive_limit_is_input_error(self, argv, tmp_path, capsys):
-        # 201 points on a line: one more than MAX_EXHAUSTIVE_POINTS
-        path = tmp_path / "line201.csv"
-        n = 201
-        rows = [",".join(f"p{i}" for i in range(n))]
-        rows += [",".join(str(abs(i - j)) for j in range(n)) for i in range(n)]
-        path.write_text("\n".join(rows) + "\n")
+        # points on a line, one more than MAX_EXHAUSTIVE_POINTS; JSON numbers
+        # load without the Fraction parse that CSV cells take
+        from contractum.spaces import MAX_EXHAUSTIVE_POINTS
+        n = MAX_EXHAUSTIVE_POINTS + 1
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"points": [f"p{i}" for i in range(n)],
+                                    "distances": [[abs(i - j) for j in range(n)]
+                                                  for i in range(n)]}))
         assert dispatch([argv[0], str(path), *argv[1:]]) == 2
-        assert "201 points exceeds the exhaustive limit (200)" in capsys.readouterr().err
+        assert (f"{n} points exceeds the exhaustive limit ({MAX_EXHAUSTIVE_POINTS})"
+                in capsys.readouterr().err)
 
     def test_solve_integral_profile_start(self, capsys):
         code, out = run_json(capsys, [

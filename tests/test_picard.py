@@ -208,12 +208,6 @@ class TestIterate:
             post = EXAMPLE_3_4.metric(result.point, EXAMPLE_3_4.map(result.point))
             assert post <= config.tol
 
-    def test_trace_suppressed(self):
-        result = iterate(EXAMPLE_3_4.map, 2.0, EXAMPLE_3_4.metric,
-                         IterationConfig(record_trace=False))
-        assert result.trace is None
-        assert result.converged
-
     def test_long_orbit_memory(self):
         # about 103k steps; no revisit set is kept, so the recorded points,
         # gap1 and gap2 make up the peak

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contractum import spaces
 from contractum.errors import MalformedSpaceError
 from contractum.fixtures import EXAMPLE_2_2, EXAMPLE_3_4
 from contractum.spaces import (
     _SAMPLE_BLOCK,
+    MAX_EXHAUSTIVE_POINTS,
     FiniteSpace,
     TriangleWitness,
     _sample_quadruples,
@@ -66,7 +68,8 @@ def oracle_witnesses(D, limit=8, tol=1e-12):
     """The first ``limit`` quadruples violating the s = 1 inequality, in
     lexicographic index order; the extremal quadruple as CoefficientReport
     defines it: the lexicographically smallest one among the pairs of
-    maximal ratio, taken with its pair's minimal sum; and b_rectangular_s."""
+    maximal ratio, taken with its pair's minimal sum, and that sum; and
+    b_rectangular_s."""
     n = D.shape[0]
     quads = list(itertools.permutations(range(n), 4))
     total = {q: (D[q[0], q[1]] + D[q[1], q[2]]) + D[q[2], q[3]] for q in quads}
@@ -79,7 +82,7 @@ def oracle_witnesses(D, limit=8, tol=1e-12):
     extremal = next(q for q in quads
                     if ratio[q[0], q[3]] == best and total[q] == denom[q[0], q[3]])
     coefficient = oracle_coefficient(oracle_ratio(D[q[0], q[3]], total[q]) for q in quads)
-    return violations, extremal, coefficient
+    return violations, (extremal, denom[extremal[0], extremal[3]]), coefficient
 
 
 def oracle_triangles(D, limit=8, tol=1e-12):
@@ -146,6 +149,31 @@ def euclidean_space(points_2d):
         for j in range(i + 1, n):
             D[i, j] = D[j, i] = float(np.hypot(*(values[i] - values[j])))
     return FiniteSpace(tuple(str(i) for i in range(n)), D)
+
+
+def assert_witnesses_match_oracle(kind, n):
+    """classify's witnesses and coefficients, and validate's extremal with
+    both of its sides, exactly as the brute-force oracles give them."""
+    D = TABLE_KINDS[kind](np.random.default_rng(10 * n), n)
+    sp = labeled(D)
+    violations, extremal, b_rectangular_s = oracle_witnesses(D)
+    triangles, two_hop, b_metric_s = oracle_triangles(D)
+    flags = classify_space(sp)
+    got = [tuple(int(p) for p in (w.x, w.u, w.v, w.y))
+           for w in flags.quadrilateral_witnesses]
+    assert got == violations
+    assert flags.is_rectangular == (not violations)
+    assert flags.triangle_witnesses == tuple(
+        TriangleWitness(str(x), str(z), str(y), float(D[x, y]), float(two_hop[x, z, y]))
+        for x, z, y in triangles)
+    assert flags.is_metric == (not triangles)
+    assert flags.b_metric_s == b_metric_s
+    assert flags.b_rectangular_s == b_rectangular_s
+    if kind != "zeros":  # a zero distance ends validation before the ratios
+        w = validate_space(sp, 1.0).extremal
+        quad, minimal_sum = extremal
+        assert tuple(int(p) for p in (w.x, w.u, w.v, w.y)) == quad
+        assert (w.lhs, w.rhs) == (D[quad[0], quad[3]], minimal_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +383,7 @@ class TestValidateSpace:
         assert minimal_coefficient(sp) == 1.0
 
     def test_large_space_requires_explicit_sampling(self):
-        values = list(np.linspace(0.0, 1.0, 210))
+        values = list(np.linspace(0.0, 1.0, MAX_EXHAUSTIVE_POINTS + 1))
         sp = FiniteSpace.from_metric(values, lambda x, y: abs(x - y))
         with pytest.raises(ValueError, match="sample"):
             validate_space(sp, 1.0)
@@ -388,24 +416,15 @@ class TestClassifySpace:
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
     def test_witnesses_match_oracle_order(self, kind, n):
-        D = TABLE_KINDS[kind](np.random.default_rng(10 * n), n)
-        sp = labeled(D)
-        violations, extremal, b_rectangular_s = oracle_witnesses(D)
-        triangles, two_hop, b_metric_s = oracle_triangles(D)
-        flags = classify_space(sp)
-        got = [tuple(int(p) for p in (w.x, w.u, w.v, w.y))
-               for w in flags.quadrilateral_witnesses]
-        assert got == violations
-        assert flags.is_rectangular == (not violations)
-        assert flags.triangle_witnesses == tuple(
-            TriangleWitness(str(x), str(z), str(y), float(D[x, y]), float(two_hop[x, z, y]))
-            for x, z, y in triangles)
-        assert flags.is_metric == (not triangles)
-        assert flags.b_metric_s == b_metric_s
-        assert flags.b_rectangular_s == b_rectangular_s
-        if kind != "zeros":  # a zero distance ends validation before the ratios
-            w = validate_space(sp, 1.0).extremal
-            assert tuple(int(p) for p in (w.x, w.u, w.v, w.y)) == extremal
+        assert_witnesses_match_oracle(kind, n)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+    def test_witnesses_match_oracle_one_u_per_block(self, kind, n, monkeypatch):
+        # at n <= 8 every rescan fits one default block; here every middle
+        # point u is a block of its own
+        monkeypatch.setattr(spaces, "_RESCAN_BLOCK", 1)
+        assert_witnesses_match_oracle(kind, n)
 
     def test_classify_memory_stays_quadratic(self):
         x = np.random.default_rng(200).uniform(0.0, 10.0, 200)
