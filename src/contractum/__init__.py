@@ -10,6 +10,7 @@ from .errors import (
     InsufficientDataError,
     MalformedSpaceError,
     NumericError,
+    ParameterError,
     SizeLimitError,
 )
 from .spaces import (
@@ -77,7 +78,7 @@ __all__ = [
     "FixedPointResult", "FunctionDomainError", "InsufficientDataError",
     "IntegralProblem", "IntegralSolution", "IterationConfig",
     "IterationStatus", "IterationTrace", "KernelConditionReport",
-    "MalformedSpaceError", "NumericError", "PairVerdict",
+    "MalformedSpaceError", "NumericError", "PairVerdict", "ParameterError",
     "QuadrilateralWitness", "SampledSpace", "SizeLimitError", "Status", "TaxonomyFlags",
     "TraceDiagnostics", "TriangleWitness", "UniquenessReport", "Variant",
     "VerificationSummary", "apply_operator", "audit_trace", "builtin_pair",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -576,6 +577,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default="space.json")
     p.add_argument("--grid", type=int, default=64)
     p.set_defaults(func=_cmd_examples)
+
+    # argparse up to Python 3.13.0 takes only -N and -N.N for negative
+    # numbers, so an option value such as -5e-05 reads as an unknown flag.
+    # No option here starts with "-" and a digit, so what does is a value.
+    negative_number = re.compile(r"-\.?\d")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative_number
     return parser
 
 

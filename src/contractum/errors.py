@@ -52,6 +52,11 @@ class SizeLimitError(ContractumError, ValueError):
     must sample instead."""
 
 
+class ParameterError(ContractumError, ValueError):
+    """A numeric argument lies outside its domain, such as a negative or
+    NaN tolerance."""
+
+
 class ExpressionError(ContractumError):
     """An expression string failed to parse or used a disallowed token."""
 

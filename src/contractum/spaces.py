@@ -22,14 +22,19 @@ witness, classify's violations and validate's extremal quadruple alike,
 comes from one rescan of only the pairs it concerns.
 
 Distances are stored as floats and compared with an absolute tolerance
-(default 1e-12); exact rational input such as ``"1/2"`` is accepted in
-labels and table entries and converted once.
+(default 1e-12, never negative); exact rational input such as ``"1/2"`` is
+accepted in labels and table entries. Each is parsed once, to the float
+``float(Fraction(text))`` gives: plain unsigned decimals and ratios by
+``float()`` and ``int / int`` a row at a time, anything else through
+``Fraction``; a square JSON table of numbers loads in one array call.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,36 +43,88 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ClosureError, MalformedSpaceError, SizeLimitError
+from .errors import ClosureError, MalformedSpaceError, ParameterError, SizeLimitError
 
 DEFAULT_TOL = 1e-12
 
 # validate_space, minimal_coefficient and classify_space are exhaustive up
 # to this many points; beyond it validate_space needs an explicit sample and
 # the others refuse. Each costs one O(n^3) kernel pass, and the limit keeps
-# that within a budget of about 1 s: 0.88-0.92 s per command at n = 450 and
-# 1.11-1.17 s at n = 500 on |x_i - x_j|^1.75 tables, table load excluded
-# (2-core x86-64, Python 3.11, numpy 2.4).
-MAX_EXHAUSTIVE_POINTS = 450
+# a command within a budget of about 1 s end to end, table load included:
+# through the CLI on |x_i - x_j|^1.75 tables, each command took 0.74-0.76 s
+# at n = 550 from JSON numbers, 0.86-0.93 s from half tables of p/q strings
+# and 0.96-1.03 s from CSV; at n = 600, 1.02-1.11 s from JSON numbers and
+# 1.24-1.33 s from CSV (2-core x86-64, Python 3.11, numpy 2.4; minimum of
+# 2 runs).
+MAX_EXHAUSTIVE_POINTS = 550
+
+
+# Unsigned ASCII decimals and ratios p/q, the forms table cells and labels
+# take in practice. float() rounds a decimal and int / int a ratio
+# correctly, as float(Fraction(cell)) does, so _parse_text and _plain_values
+# take them without Fraction. Unsigned cells give +0.0 where they give zero,
+# as Fraction does; float("-0.0") would be -0.0. Cells of over 640
+# characters go through Fraction, because int() may refuse more than 640
+# digits (the least sys.set_int_max_str_digits limit), and Fraction would
+# then fail where float() does not.
+_NUMBER = r"\+?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+_CELL = re.compile(_NUMBER, re.ASCII)
+_ROW = re.compile(rf"(?:{_NUMBER},)*{_NUMBER}", re.ASCII)
+_PLAIN_LENGTH = 640
+
+
+def _plain_value(cell: str) -> float:
+    """The value of a cell of the _NUMBER grammar."""
+    p, slash, q = cell.partition("/")
+    return int(p) / int(q) if slash else float(p)
+
+
+def _plain_values(cells: Sequence) -> list[float] | None:
+    """float(Fraction(cell)) for every cell, if each is an unsigned plain
+    decimal or p/q with a finite value; None otherwise."""
+    try:
+        text = ",".join(cells)
+    except TypeError:
+        return None
+    if not cells or max(map(len, cells)) > _PLAIN_LENGTH or not _ROW.fullmatch(text):
+        return None
+    try:  # a cell holding a comma passes the match but fails here
+        values = list(map(_plain_value, cells) if "/" in text else map(float, cells))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return values if max(values) < math.inf else None
+
+
+def _parse_text(text) -> float:
+    """float(Fraction(text)), raising what that raises: ValueError,
+    ZeroDivisionError, OverflowError, or TypeError for a non-number."""
+    if isinstance(text, str) and len(text) <= _PLAIN_LENGTH and _CELL.fullmatch(text):
+        try:
+            value = _plain_value(text)
+        except (ZeroDivisionError, OverflowError):
+            value = math.inf
+        if value < math.inf:
+            return value
+    return float(Fraction(text))
 
 
 def parse_number(value) -> float:
     """Parse a table entry: float, int, or an exact-rational/decimal string."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            raise MalformedSpaceError(f"cannot parse distance entry {value!r}")
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
+            return _parse_text(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     raise MalformedSpaceError(f"cannot parse distance entry {value!r}")
 
 
 def parse_label(label: str) -> float | None:
     """Numeric value of a point label, or None if the label is not numeric."""
     try:
-        return float(Fraction(label))
-    except (ValueError, ZeroDivisionError):
+        return _parse_text(label)
+    except (ValueError, ZeroDivisionError, OverflowError):
         return None
 
 
@@ -205,6 +262,10 @@ def _mirror_fill(points: Sequence[str], rows: list[list]) -> np.ndarray:
     for i, row in enumerate(rows):
         if i >= n:
             raise MalformedSpaceError(f"too many table rows ({len(rows)}) for {n} points")
+        values = _plain_values(row) if len(row) <= n else None
+        if values is not None:
+            D[i, :len(values)] = values
+            continue
         for j, cell in enumerate(row):
             if j >= n:
                 raise MalformedSpaceError(f"row {i} has too many entries")
@@ -212,9 +273,7 @@ def _mirror_fill(points: Sequence[str], rows: list[list]) -> np.ndarray:
                 continue
             value = parse_number(cell)
             if value != value:  # NaN marks a missing cell below, so reject it here
-                raise MalformedSpaceError(
-                    f"non-finite distance nan at ({points[i]!r}, {points[j]!r})",
-                    pair=(points[i], points[j]))
+                raise _nan_error(points, i, j)
             D[i, j] = value
     D = np.where(np.isnan(D), D.T, D)
     missing = np.argwhere(np.isnan(D))
@@ -226,13 +285,36 @@ def _mirror_fill(points: Sequence[str], rows: list[list]) -> np.ndarray:
     return D
 
 
+def _numeric_square(points: Sequence[str], rows: list) -> np.ndarray | None:
+    """A square table of bools, ints and floats, from one array call; None
+    for any other input (strings, blanks, half tables, ragged rows, ints
+    beyond 64 bits), which _mirror_fill parses cell by cell."""
+    try:
+        A = np.array(rows)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if A.dtype.kind not in "biuf" or A.shape != (len(points),) * 2:
+        return None
+    nan = np.argwhere(np.isnan(A))
+    if nan.size:
+        raise _nan_error(points, *map(int, nan[0]))
+    return A.astype(float)
+
+
+def _nan_error(points: Sequence[str], i: int, j: int) -> MalformedSpaceError:
+    return MalformedSpaceError(f"non-finite distance nan at ({points[i]!r}, {points[j]!r})",
+                               pair=(points[i], points[j]))
+
+
 def space_from_json(source) -> FiniteSpace:
     """Load { "points": [...], "distances": [[...]] }; half tables are mirrored."""
     obj = json.loads(Path(source).read_text()) if not isinstance(source, dict) else source
     if "points" not in obj or "distances" not in obj:
         raise MalformedSpaceError('space JSON needs "points" and "distances"')
     points = [(_canonical_label(p)) for p in obj["points"]]
-    return FiniteSpace(tuple(points), _mirror_fill(points, [list(r) for r in obj["distances"]]))
+    rows = [list(r) for r in obj["distances"]]
+    D = _numeric_square(points, rows)
+    return FiniteSpace(tuple(points), _mirror_fill(points, rows) if D is None else D)
 
 
 def space_from_csv(path) -> FiniteSpace:
@@ -392,6 +474,13 @@ class TaxonomyFlags:
 # quadruple enumeration (vectorized, exact)
 
 
+def _check_tol(tol: float) -> None:
+    """A tolerance widens each inequality; a negative one would report
+    violations of inequalities that hold, and NaN would compare false."""
+    if not tol >= 0:
+        raise ParameterError(f"tolerance must be >= 0, got {tol}")
+
+
 def _axiom1_failures(space: FiniteSpace, tol: float) -> tuple[tuple[str, str], ...]:
     pts = space.points
     return tuple((pts[i], pts[j]) for i, j in np.argwhere(np.triu(space.dist <= tol, 1)))
@@ -414,22 +503,27 @@ def _pair_denominator_minima(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minimum its three-hop row is built from. Sums are associated as
     (D[i,u] + D[u,v]) + D[v,j], the order the witness rescan uses, so a
     rescanned path attains its pair's minimum bit for bit and ties between
-    paths are exact.
+    paths are exact. D must be exactly symmetric, as FiniteSpace ensures.
     """
     n = D.shape[0]
     idx = np.arange(n)
     E = _without_loops(D)                     # u == i, u == v and v == j drop out
     two, three = np.empty((n, n)), np.empty((n, n))
+    B, C = np.empty((n, n)), np.empty((n, n))
     for i in range(n):
-        B = E[i][:, None] + E                 # B[u, v] = D[i,u] + D[u,v]
-        B[:, i] = np.inf                      # v == i
-        u1 = B.argmin(axis=0)
-        m1 = two[i] = B[u1, idx]
-        B[u1, idx] = np.inf
-        m2 = B.min(axis=0)
-        # min over u excluding u == j: runner-up where the argmin is j itself
-        best_u = np.where(u1[:, None] == idx[None, :], m2[:, None], m1[:, None])
-        three[i] = (best_u + E).min(axis=0)   # over v of min_u(...) + D[v, j]
+        # B[v, u] = D[u,v] + D[i,u], bit for bit D[i,u] + D[u,v]: D is
+        # symmetric and float addition commutes; rows reduce contiguously
+        np.add(E, E[i], out=B)
+        B[i] = np.inf                         # v == i
+        u1 = B.argmin(axis=1)
+        m1 = two[i] = B[idx, u1]
+        B[idx, u1] = np.inf
+        m2 = B.min(axis=1)
+        # C[v, j] = min over u != j of (D[i,u] + D[u,v]) + D[v,j]: the
+        # runner-up where the argmin is j itself
+        np.add(m1[:, None], E, out=C)
+        C[idx, u1] = m2 + E[idx, u1]
+        C.min(axis=0, out=three[i])
         three[i, i] = np.inf
     return two, three
 
@@ -535,6 +629,7 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
     """
     if s < 1:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
+    _check_tol(tol)
     n = len(space.points)
     if n < 1:
         raise ValueError("space must have at least one point")
@@ -604,6 +699,7 @@ def classify_space(space: FiniteSpace, *, tol: float = DEFAULT_TOL,
     report minimal relaxation coefficients for both (inf where a positive
     distance has a zero minimal sum) and the first violating tuples in
     index order with both sides."""
+    _check_tol(tol)
     D = space.dist
     n = len(space.points)
     if n > MAX_EXHAUSTIVE_POINTS:

@@ -201,8 +201,8 @@ class TestReports:
 
     @pytest.mark.parametrize("argv", [["validate-space", "--s", "2"], ["classify"], ["min-s"]])
     def test_table_beyond_exhaustive_limit_is_input_error(self, argv, tmp_path, capsys):
-        # points on a line, one more than MAX_EXHAUSTIVE_POINTS; JSON numbers
-        # load without the Fraction parse that CSV cells take
+        # points on a line, one more than MAX_EXHAUSTIVE_POINTS, as JSON
+        # numbers (one array call to load)
         from contractum.spaces import MAX_EXHAUSTIVE_POINTS
         n = MAX_EXHAUSTIVE_POINTS + 1
         path = tmp_path / "line.json"
@@ -238,6 +238,50 @@ class TestReports:
         w = report["quadrilateral_witnesses"][0]
         assert (w["x"], w["u"], w["v"], w["y"], w["lhs"], w["rhs"]) == \
             ("a", "b", "c", "e", 1.0, 0.0)
+
+
+class TestInputEdges:
+    """Values argparse and the number parser used to trip on."""
+
+    def test_negative_exponent_start_point(self, capsys):
+        code, out = run_json(capsys, ["iterate", "--domain", "interval:-2,2",
+                                      "--map", "x/2", "--x0", "-5.283647646425749e-05"])
+        assert code == 0
+        assert out["manifest"]["inputs"]["x0"] == "-5.283647646425749e-05"
+        assert out["report"]["status"] == "converged"
+
+    def test_negative_exponent_interval_end(self, capsys):
+        code, out = run_json(capsys, [
+            "solve-integral", "--a", "-1e-1", "--b", "1", "--lambda", "0.01", "--s", "3",
+            "--kernel", "exp(-1) * 3^(-5) * sin(x)", "--m", "9", "--x0", "0.5"])
+        assert code == 0
+        assert out["manifest"]["inputs"]["a"] == -0.1
+        assert out["report"]["grid"][0] == -0.1
+
+    def test_overflowing_string_cell(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"points": ["a", "b"],
+                                    "distances": [[0, "1e400"], ["1e400", 0]]}))
+        assert dispatch(["classify", str(path)]) == 2
+        assert "cannot parse distance entry '1e400'" in capsys.readouterr().err
+
+    def test_overflowing_integer_cell(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        big = "1" + "0" * 400
+        path.write_text('{"points": ["a", "b"], "distances": [[0, %s], [%s, 0]]}' % (big, big))
+        assert dispatch(["classify", str(path)]) == 2
+        assert f"cannot parse distance entry {big}" in capsys.readouterr().err
+
+    def test_overflowing_interval_bound(self, capsys):
+        assert dispatch(["iterate", "--domain", "interval:0,1e400", "--map", "x/2",
+                         "--x0", "0.5"]) == 2
+        assert "cannot parse interval bounds in 'interval:0,1e400'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["validate-space", "--s", "1"], ["classify"], ["min-s"]])
+    @pytest.mark.parametrize("tol", ["-1", "-1e-3", "nan"])
+    def test_negative_or_nan_tolerance_is_input_error(self, argv, tol, space_file, capsys):
+        assert dispatch([argv[0], str(space_file), *argv[1:], "--tol", tol]) == 2
+        assert f"tolerance must be >= 0, got {float(tol)}" in capsys.readouterr().err
 
 
 class TestClosure:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractum import spaces
-from contractum.errors import MalformedSpaceError
+from contractum.errors import MalformedSpaceError, ParameterError
 from contractum.fixtures import EXAMPLE_2_2, EXAMPLE_3_4
 from contractum.spaces import (
     _SAMPLE_BLOCK,
@@ -538,3 +538,21 @@ def test_permutation_changes_only_witness_labels(seed):
     assert fa.is_rectangular == fb.is_rectangular
     assert fa.b_metric_s == pytest.approx(fb.b_metric_s, rel=1e-12)
     assert fa.b_rectangular_s == pytest.approx(fb.b_rectangular_s, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-15, math.nan])
+@pytest.mark.parametrize("n", [3, 5])
+def test_negative_or_nan_tolerance_is_rejected(tol, n):
+    # at tol = -1 validate_space would call the ratio 1/3 > s + tol a violation
+    sp = labeled(np.ones((n, n)) - np.eye(n))
+    for check in (lambda: validate_space(sp, 1.0, tol=tol), lambda: classify_space(sp, tol=tol),
+                  lambda: minimal_coefficient(sp, tol=tol)):
+        with pytest.raises(ParameterError, match="tolerance must be >= 0") as exc:
+            check()
+        assert isinstance(exc.value, ValueError)
+
+
+def test_zero_tolerance_is_accepted():
+    sp = labeled(np.ones((5, 5)) - np.eye(5))
+    assert validate_space(sp, 1.0, tol=0.0).holds
+    assert classify_space(sp, tol=0.0).is_rectangular
