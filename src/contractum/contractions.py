@@ -19,21 +19,27 @@ small distances); reported margins are raw.
 M and the beta combination are not symmetric in (x, y), so those variants
 are checked in both orientations of every unordered pair.
 
-check_pair is the one-pair reference. verify_over_finite and
-verify_over_sample give exactly its verdicts, but decide them in blocks
-of pairs with numpy arrays: T is applied once per point, in order; the
-distances d(x,y), d(x,Tx), d(y,Ty), d(y,Tx), d(Tx,Ty) are read from the
-table through the image indices, or come from the metric's array mode;
-F and phi are evaluated once per block. Callables that cannot take
-arrays are applied element by element. Arrays only decide statuses:
-numpy's log and square can differ from libm's log and pow in the last
-place, so check_pair re-decides every pair whose margin or guard
-quantity lies within a relative band of 2^-30 of its threshold (relative
-to the larger of 1 and the terms of the margin, for margins). Every
-number that is reported, the lhs and rhs of each violation and every
-verdict under collect_all, comes from check_pair. A block in which an
-array call fails, or in which some pair would make check_pair raise, is
-re-run pair by pair in loop order, so the error names the same first
+check_pair is the one-pair reference: T applied to both points, then the
+scalar verdict _verdict. verify_over_finite and verify_over_sample give
+exactly its verdicts, but decide them in blocks of pairs with numpy
+arrays: T is applied once per point, in order; the distances d(x,y),
+d(x,Tx), d(y,Ty), d(y,Tx), d(Tx,Ty) are read from the table through the
+image indices, or come from the metric's array mode; F and phi are
+evaluated once per block. Callables that cannot take arrays are applied
+element by element. Arrays only decide statuses: numpy's log and square
+can differ from libm's log and pow in the last place, so check_pair
+re-decides every pair whose margin or guard quantity lies within a
+relative band of 2^-30 of its threshold (relative to the larger of 1 and
+the terms of the margin, for margins). Every number that is reported
+comes from the scalar verdict. For a violation the arrays decide,
+_verdict runs on the images the block already holds, with the scalar
+distance (a table entry, or the metric's scalar mode on the points and
+images as T gave them) and the scalar F and phi, and each point's
+displacement d(p, Tp) is computed once; T is not applied again, and the
+metric sees only arguments check_pair would pass it. Every verdict under
+collect_all comes from check_pair. A block in which an array call or a
+scalar verdict fails, or in which some pair would make check_pair raise,
+is re-run pair by pair in loop order, so the error names the same first
 failing pair. Sampled pairs are drawn as before, x then y for each pair,
 so a seed gives the same sample. The array path takes the metric to be
 symmetric, as a metric is, and F and phi in array mode to agree with
@@ -149,22 +155,22 @@ def _apply_map(space, T, x):
 
 def m_value(space, T: Callable, x, y) -> float:
     """The comparison maximum max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}."""
-    return _rhs_argument(Variant.TYPE_IM, space, x, y,
+    d = space.distance
+    return _rhs_argument(Variant.TYPE_IM, d, d, x, y,
                          _apply_map(space, T, x), _apply_map(space, T, y))
 
 
-def _rhs_argument(variant: Variant, space, x, y, tx, ty, betas=None) -> float:
-    d = space.distance
+def _rhs_argument(variant: Variant, d, moved, x, y, tx, ty, betas=None) -> float:
     if variant is Variant.TYPE_F:
         return d(x, y)
     if variant is Variant.TYPE_IM:
-        return max(d(x, y), d(x, tx), d(y, ty), d(y, tx))
+        return max(d(x, y), moved(x, tx), moved(y, ty), d(y, tx))
     if variant is Variant.KANNAN:
-        return (d(x, tx) + d(y, ty)) / 2.0
+        return (moved(x, tx) + moved(y, ty)) / 2.0
     if variant is Variant.REICH:
-        return (d(x, y) + d(x, tx) + d(y, ty)) / 3.0
+        return (d(x, y) + moved(x, tx) + moved(y, ty)) / 3.0
     b1, b2, b3, b4 = betas
-    return b1 * d(x, y) + b2 * d(tx, x) + b3 * d(ty, y) + b4 * d(y, tx)
+    return b1 * d(x, y) + b2 * moved(x, tx) + b3 * moved(y, ty) + b4 * d(y, tx)
 
 
 def check_pair(spec: ContractionSpec, space, T: Callable, x, y, *,
@@ -179,20 +185,31 @@ def check_pair(spec: ContractionSpec, space, T: Callable, x, y, *,
     """
     tx = _apply_map(space, T, x)
     ty = _apply_map(space, T, y)
-    d_txy = space.distance(tx, ty)
-    if d_txy <= GUARD_TOL:
-        return PairVerdict(x=x, y=y, status=Status.VACUOUS)
+    d = space.distance
+    moved = (lambda p, tp: d(tp, p)) if spec.variant is Variant.BETA_COMBO else d
+    return PairVerdict(x, y, *_verdict(spec, d, moved, x, y, tx, ty, tol))
 
-    arg = _rhs_argument(spec.variant, space, x, y, tx, ty, spec.betas)
+
+def _verdict(spec: ContractionSpec, d, moved, x, y, tx, ty,
+             tol: float) -> tuple[Status, float | None, float | None]:
+    """Status, lhs and rhs of the pair (x, y) with images tx and ty, from
+    the scalar distance d and moved(p, Tp), the displacement d(p, Tp), or
+    d(Tp, p) for the beta combination, as its formula reads. check_pair
+    and the block path share it."""
+    d_txy = d(tx, ty)
+    if d_txy <= GUARD_TOL:
+        return Status.VACUOUS, None, None
+
+    arg = _rhs_argument(spec.variant, d, moved, x, y, tx, ty, spec.betas)
     if spec.variant in _GUARDED:
         if arg <= GUARD_TOL:
-            return PairVerdict(x=x, y=y, status=Status.VACUOUS)
+            return Status.VACUOUS, None, None
     elif arg <= 0:
         raise FunctionDomainError(
             f"F argument {arg!r} is not positive for pair ({x!r}, {y!r})",
             argument=arg, context=(x, y, arg))
 
-    d_xy = space.distance(x, y)
+    d_xy = d(x, y)
     if d_xy <= 0:
         raise FunctionDomainError(
             f"phi argument {d_xy!r} is not positive for pair ({x!r}, {y!r})",
@@ -201,8 +218,7 @@ def check_pair(spec: ContractionSpec, space, T: Callable, x, y, *,
     scale = spec.s if spec.variant is Variant.TYPE_F else spec.s ** 2
     lhs = spec.pair.F(scale * d_txy)
     rhs = spec.pair.F(arg) - spec.phi(d_xy)
-    status = Status.HOLDS if rhs - lhs >= -tol else Status.VIOLATED
-    return PairVerdict(x=x, y=y, status=status, lhs=lhs, rhs=rhs)
+    return (Status.HOLDS if rhs - lhs >= -tol else Status.VIOLATED), lhs, rhs
 
 
 @dataclass
@@ -255,13 +271,19 @@ class _Reference(Exception):
 class _Frame:
     """Points and their images as the array path reads them: ``coord`` and
     ``image`` are what ``dist`` takes (table indices, or point values under
-    a metric), and ``moved`` is d(p, Tp) for each point."""
+    a metric), and ``moved`` is d(p, Tp) for each point. The verdicts of
+    the violations read the scalar distance ``scalar`` instead, over the
+    position of each point and the position ``target[p]`` of its image,
+    and keep each point's displacement in ``displaced``."""
 
     points: Sequence
     coord: np.ndarray
     image: np.ndarray
     moved: np.ndarray
     dist: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    target: Sequence[int]
+    scalar: Callable[[int, int], float]
+    displaced: dict = field(default_factory=dict)
 
 
 def _frame(space, T: Callable, points: Sequence) -> _Frame | None:
@@ -275,15 +297,22 @@ def _frame(space, T: Callable, points: Sequence) -> _Frame | None:
             image = np.array([space.index(t) for t in images], dtype=np.intp)
             table = space.dist
             dist = lambda a, b: table[a, b]
+            target = image.tolist()
+            scalar = lambda a, b: float(table[a, b])  # what space.distance gives
         else:
             coord = np.array(points, dtype=float)
             image = np.array(images, dtype=float)
             dist = lambda a, b: array_values(space.metric, a, b)
+            # the metric's scalar mode on the points and images as given:
+            # Python's d ** 2 and numpy's can differ in the last place
+            values = [*points, *images]
+            target = range(len(points), len(values))
+            scalar = lambda a, b: space.distance(values[a], values[b])
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             moved = dist(coord, image)
     except Exception:  # whatever it is, the reference loop meets it again
         return None
-    return _Frame(points, coord, image, moved, dist)
+    return _Frame(points, coord, image, moved, dist, target, scalar)
 
 
 def _near(q: np.ndarray, threshold: float) -> np.ndarray:
@@ -330,8 +359,9 @@ def _orientation_codes(spec: ContractionSpec, tol: float, d_xy, d_txty,
 def _array_block(spec: ContractionSpec, space, T: Callable, tol: float, frame: _Frame,
                  i: np.ndarray, j: np.ndarray, violations: list) -> np.ndarray:
     """Codes of the pairs (points[i[k]], points[j[k]]). The arrays decide
-    each orientation's status; check_pair decides those near a threshold
-    and gives the numbers of each violation, in loop order."""
+    each orientation's status; check_pair decides those near a threshold,
+    and _verdict, on the frame's images and scalar distances, gives the
+    numbers of each violation, in loop order."""
     dist, coord, image = frame.dist, frame.coord, frame.image
     x, y, tx, ty = coord[i], coord[j], image[i], image[j]
     asymmetric = spec.variant in _ASYMMETRIC
@@ -344,12 +374,31 @@ def _array_block(spec: ContractionSpec, space, T: Callable, tol: float, frame: _
             found.append(_orientation_codes(spec, tol, d_xy, d_txty, d_yty, d_xtx,
                                             dist(x, ty)))
     codes = np.array([c for c, _ in found])
-    todo = np.array([near for _, near in found]) | (codes == _VIOLATED)
-    for k, swapped in np.argwhere(todo.T).tolist():
-        x, y = frame.points[i[k]], frame.points[j[k]]
-        verdict = check_pair(spec, space, T, *((y, x) if swapped else (x, y)), tol=tol)
-        codes[swapped, k] = _CODE[verdict.status]
-        if verdict.status is Status.VIOLATED:
+    near = np.array([n for _, n in found])
+    k, swapped = np.nonzero(near.T | (codes.T == _VIOLATED))
+    near = near[swapped, k].tolist()
+    first = np.where(swapped, j[k], i[k]).tolist()
+    second = np.where(swapped, i[k], j[k]).tolist()
+    points, target, d, displaced = frame.points, frame.target, frame.scalar, frame.displaced
+    beta = spec.variant is Variant.BETA_COMBO
+
+    def moved(p, tp):
+        value = displaced.get(p)
+        if value is None:
+            value = displaced[p] = d(tp, p) if beta else d(p, tp)
+        return value
+
+    for pair, orientation, a, b, decide in zip(k.tolist(), swapped.tolist(), first, second,
+                                               near):
+        if decide:
+            verdict = check_pair(spec, space, T, points[a], points[b], tol=tol)
+            status = verdict.status
+        else:
+            status, lhs, rhs = _verdict(spec, d, moved, a, b, target[a], target[b], tol)
+            if status is Status.VIOLATED:
+                verdict = PairVerdict(points[a], points[b], status, lhs, rhs)
+        codes[orientation, pair] = _CODE[status]
+        if status is Status.VIOLATED:
             violations.append(verdict)
     return codes.max(axis=0)
 

@@ -95,16 +95,46 @@ def _plain_values(cells: Sequence) -> list[float] | None:
     return values if max(values) < math.inf else None
 
 
+# A decimal with an exponent, in the grammar Fraction reads in every
+# supported Python. Fraction builds 10**exp exactly, which takes seconds
+# for 1e10000000; far out of the float range, 1e400 or 1e-400 of the same
+# sign stands in for it, with the same outcome: the same error or zero.
+_SCIENTIFIC = re.compile(r"\s*([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?[eE]([+-]?\d+)\s*", re.ASCII)
+_LOG10_2 = math.log10(2.0)
+
+
+def _stand_in(text: str) -> str:
+    """text, or a short decimal that float(Fraction(...)) treats the same."""
+    match = _SCIENTIFIC.fullmatch(text)
+    if match is None:
+        return text
+    sign, whole, fraction, exponent = match.groups(default="")
+    # the int() calls Fraction makes, in its order, so that a string of
+    # more digits than int() converts fails as it would there
+    mantissa = int(whole or "0") * 10 ** len(fraction) + int(fraction or "0")
+    scale = int(exponent) - len(fraction)   # the value is mantissa * 10**scale
+    if mantissa == 0:
+        return "0"
+    bits = mantissa.bit_length()            # 2**(bits-1) <= mantissa < 2**bits
+    if scale > 310 - (bits - 1) * _LOG10_2:  # above 1e310: overflows
+        return sign + "1e400"
+    if scale < -330 - bits * _LOG10_2:       # below 1e-330: rounds to zero
+        return sign + "1e-400"
+    return text
+
+
 def _parse_text(text) -> float:
     """float(Fraction(text)), raising what that raises: ValueError,
     ZeroDivisionError, OverflowError, or TypeError for a non-number."""
-    if isinstance(text, str) and len(text) <= _PLAIN_LENGTH and _CELL.fullmatch(text):
-        try:
-            value = _plain_value(text)
-        except (ZeroDivisionError, OverflowError):
-            value = math.inf
-        if value < math.inf:
-            return value
+    if isinstance(text, str):
+        if len(text) <= _PLAIN_LENGTH and _CELL.fullmatch(text):
+            try:
+                value = _plain_value(text)
+            except (ZeroDivisionError, OverflowError):
+                value = math.inf
+            if value < math.inf:
+                return value
+        text = _stand_in(text)
     return float(Fraction(text))
 
 
@@ -306,9 +336,21 @@ def _nan_error(points: Sequence[str], i: int, j: int) -> MalformedSpaceError:
                                pair=(points[i], points[j]))
 
 
+def read_json(text: str, error=MalformedSpaceError):
+    """json.loads(text). Beyond a JSONDecodeError it raises a plain
+    ValueError for an integer of more digits than int() converts (4,300 by
+    default); that one becomes ``error``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise error(f"cannot read JSON: {exc}") from None
+
+
 def space_from_json(source) -> FiniteSpace:
     """Load { "points": [...], "distances": [[...]] }; half tables are mirrored."""
-    obj = json.loads(Path(source).read_text()) if not isinstance(source, dict) else source
+    obj = source if isinstance(source, dict) else read_json(Path(source).read_text())
     if "points" not in obj or "distances" not in obj:
         raise MalformedSpaceError('space JSON needs "points" and "distances"')
     points = [(_canonical_label(p)) for p in obj["points"]]

@@ -1,16 +1,9 @@
 import json
+import time
 
 import pytest
 
 from contractum.cli import dispatch
-
-
-@pytest.fixture
-def space_file(tmp_path):
-    path = tmp_path / "ex34.json"
-    assert dispatch(["examples", "export", "example-3.4", "--grid", "0",
-                     "--out", str(path)]) == 0
-    return path
 
 
 def run_json(capsys, argv):
@@ -276,6 +269,31 @@ class TestInputEdges:
         assert dispatch(["iterate", "--domain", "interval:0,1e400", "--map", "x/2",
                          "--x0", "0.5"]) == 2
         assert "cannot parse interval bounds in 'interval:0,1e400'" in capsys.readouterr().err
+
+    def test_integer_beyond_the_digit_limit_in_a_table(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "huge.json"
+        big = "1" + "0" * 4400
+        path.write_text('{"points": ["a", "b"], "distances": [[0, %s], [%s, 0]]}' % (big, big))
+        assert dispatch(["classify", str(path)]) == 2
+        assert "cannot read JSON: Exceeds the limit" in capsys.readouterr().err
+
+    def test_integer_beyond_the_digit_limit_in_a_config(self, space_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": 1%s}' % ("0" * 4400))
+        assert dispatch(["--config", str(cfg), "classify", str(space_file)]) == 2
+        assert "cannot read JSON: Exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["iterate", "--domain", "interval:0,1e10000000", "--map", "x/2", "--x0", "0.5"],
+        ["iterate", "--domain", "interval:-1e-10000000,1", "--map", "x/2", "--x0", "1e10000000"],
+    ])
+    def test_huge_exponent_is_decided_at_once(self, argv, capsys):
+        # float(Fraction("1e10000000")) builds 10**10000000 and takes seconds
+        start = time.perf_counter()
+        assert dispatch(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "1e10000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["validate-space", "--s", "1"], ["classify"], ["min-s"]])
     @pytest.mark.parametrize("tol", ["-1", "-1e-3", "nan"])

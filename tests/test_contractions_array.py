@@ -69,6 +69,18 @@ def reference_verify(spec, space, T, pairs, *, tol=MARGIN_TOL, collect_all=False
     return summary
 
 
+def bits(verdict: PairVerdict) -> tuple:
+    """A verdict with its points and numbers as their reprs: equal bit for
+    bit (and in the sign of zero), not only as floats."""
+    return tuple(map(repr, (verdict.x, verdict.y, verdict.status, verdict.lhs, verdict.rhs)))
+
+
+def assert_same(got: VerificationSummary, want: VerificationSummary) -> None:
+    assert got.to_dict() == want.to_dict()
+    assert list(map(bits, got.violations)) == list(map(bits, want.violations))
+    assert list(map(bits, got.verdicts or [])) == list(map(bits, want.verdicts or []))
+
+
 def finite_pairs(points):
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -105,13 +117,15 @@ def chain_space(count: int = 30):
     return space, _wrap_value_map_for_labels(space, compile_expression("x^2", ("x",)))
 
 
-def run(kind, spec, **kwargs):
-    """(program summary, reference summary) for one kind of domain."""
-    if kind == "sample":
-        fixture = EXAMPLE_3_10
-        got = verify_over_sample(spec, fixture.sampler(), fixture.metric, fixture.map,
+def run(kind, spec, metric=None, **kwargs):
+    """(program summary, reference summary) for one kind of domain; on a
+    fixture, ``metric`` wraps the fixture's metric."""
+    if kind.startswith("sample"):
+        fixture = EXAMPLE_3_4 if kind == "sample-3.4" else EXAMPLE_3_10
+        d = metric(fixture.metric) if metric else fixture.metric
+        got = verify_over_sample(spec, fixture.sampler(), d, fixture.map,
                                  n=300, seed=7, **kwargs)
-        want = reference_verify(spec, SampledSpace(points=(), metric=fixture.metric),
+        want = reference_verify(spec, SampledSpace(points=(), metric=d),
                                 fixture.map, sampled_pairs(fixture.sampler(), 300, 7),
                                 **kwargs)
         return got, want
@@ -120,6 +134,8 @@ def run(kind, spec, **kwargs):
     else:
         fixture = {"grid-3.4": EXAMPLE_3_4, "grid-3.10": EXAMPLE_3_10}[kind]
         space, T = fixture.sampled_space(grid=12), fixture.map
+        if metric:
+            space = SampledSpace(space.points, metric(space.metric))
     got = verify_over_finite(spec, space, T, **kwargs)
     return got, reference_verify(spec, space, T, finite_pairs(space.points), **kwargs)
 
@@ -141,7 +157,7 @@ def make_spec(variant: Variant, pair: str, s: float = 3.0, tau=None) -> Contract
                            betas=BETAS if variant is Variant.BETA_COMBO else None)
 
 
-KINDS = ["grid-3.4", "grid-3.10", "labels", "sample"]
+KINDS = ["grid-3.4", "grid-3.10", "labels", "sample", "sample-3.4"]
 
 
 @pytest.mark.parametrize("mode", ["one-block", "blocks-of-7", "collect-all"])
@@ -153,14 +169,14 @@ def test_matches_reference_loop(kind, variant, pair, mode, monkeypatch):
         monkeypatch.setattr(contractions, "_PAIR_BLOCK", 7)
     s = 1.0 if kind == "labels" else 3.0
     got, want = run(kind, make_spec(variant, pair, s), collect_all=mode == "collect-all")
-    assert got.to_dict() == want.to_dict()
+    assert_same(got, want)
 
 
 @pytest.mark.parametrize("variant", [Variant.TYPE_IM, Variant.REICH])
 @pytest.mark.parametrize("kind", KINDS)
 def test_tau_matches_reference_loop(kind, variant):
     got, want = run(kind, make_spec(variant, "registry", tau=0.05))
-    assert got.to_dict() == want.to_dict()
+    assert_same(got, want)
 
 
 def test_cases_reach_every_status():
@@ -171,6 +187,78 @@ def test_cases_reach_every_status():
             got, _ = run(kind, make_spec(variant, "registry", 1.0 if kind == "labels" else 3.0))
             seen |= {k for k in ("holds", "vacuous", "violated") if getattr(got, k)}
     assert seen == {"holds", "vacuous", "violated"}
+
+
+def one_ulp_high(metric, calls=None):
+    """The metric, one ulp high in array mode, as numpy's d ** 2 can be
+    against Python's; ``calls`` records the scalar calls."""
+    def wrapped(x, y):
+        if isinstance(x, np.ndarray):
+            return np.nextafter(np.asarray(metric(x, y)), np.inf)
+        if calls is not None:
+            calls.append((x, y))
+        return metric(x, y)
+    return wrapped
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["grid-3.4", "sample-3.4"])
+def test_violation_numbers_come_from_the_scalar_metric(kind, variant):
+    """Violations carry the numbers of the metric's scalar mode, not those
+    of the block's arrays."""
+    # tau = 2 leaves every variant violations and pairs that hold
+    got, want = run(kind, make_spec(variant, "registry", tau=2.0), metric=one_ulp_high)
+    assert got.violated > 0 and got.holds > 0
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["grid", "sample"])
+def test_scalar_metric_sees_only_what_the_reference_loop_passes(kind, variant):
+    fixture, spec = EXAMPLE_3_4, make_spec(variant, "registry", tau=2.0)
+    got, want = [], []
+    if kind == "sample":
+        verify_over_sample(spec, fixture.sampler(), one_ulp_high(fixture.metric, got),
+                           fixture.map, n=300, seed=7)
+        reference_verify(spec, SampledSpace((), one_ulp_high(fixture.metric, want)),
+                         fixture.map, sampled_pairs(fixture.sampler(), 300, 7))
+    else:
+        points = fixture.sampled_space(grid=12).points
+        verify_over_finite(spec, SampledSpace(points, one_ulp_high(fixture.metric, got)),
+                           fixture.map)
+        reference_verify(spec, SampledSpace(points, one_ulp_high(fixture.metric, want)),
+                         fixture.map, finite_pairs(points))
+    assert got and set(got) <= set(want)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("kind", ["grid-3.4", "labels", "sample-3.4"])
+def test_violations_apply_the_map_once_per_point(kind, variant, monkeypatch):
+    """T runs once per point of a block; only the pairs near a threshold,
+    which check_pair decides, apply it again."""
+    maps, replays = [], []
+    monkeypatch.setattr(contractions, "check_pair",
+                        lambda *a, **k: replays.append(a[3:5]) or check_pair(*a, **k))
+    if kind == "labels":
+        space, T = chain_space()
+        counted = lambda p: maps.append(p) or T(p)
+        summary = verify_over_finite(make_spec(variant, "registry", s=1.0), space, counted)
+        points = len(space.points)
+    else:
+        fixture = EXAMPLE_3_4
+        counted = lambda p: maps.append(p) or fixture.map(p)
+        if kind == "sample-3.4":
+            summary = verify_over_sample(make_spec(variant, "registry", tau=2.0),
+                                         fixture.sampler(), fixture.metric, counted,
+                                         n=300, seed=7)
+            points = 600
+        else:
+            space = fixture.sampled_space(grid=12)
+            summary = verify_over_finite(make_spec(variant, "registry", tau=2.0), space,
+                                         counted)
+            points = len(space.points)
+    assert summary.violated > 0
+    assert len(maps) == points + 2 * len(replays)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +309,57 @@ def test_expression_error_names_the_same_pair(block, monkeypatch):
     kind, message = same_error(spec, EXAMPLE_3_4.sampled_space(grid=12), EXAMPLE_3_4.map,
                                block=block, monkeypatch=monkeypatch)
     assert kind is ExpressionError
+
+
+def pair_of_values(a, b):
+    """Where a metric call at (x, y) meets the unordered pair {a, b}."""
+    return lambda x, y: ((x == a) & (y == b)) | ((x == b) & (y == a))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("kind", ["grid", "sample"])
+@pytest.mark.parametrize("what", ["map", "metric", "scalar-metric"])
+def test_map_or_metric_raising_part_way_names_the_same_pair(what, kind, block, monkeypatch):
+    """A map that fails at one point, a metric that fails at one pair in
+    both modes, or in its scalar mode only at a pair whose verdict is a
+    violation: the program raises the reference loop's first error."""
+    if block is not None:
+        monkeypatch.setattr(contractions, "_PAIR_BLOCK", block)
+    fixture, spec = EXAMPLE_3_4, make_spec(Variant.TYPE_IM, "registry", tau=2.0)
+    if kind == "sample":
+        pairs = list(sampled_pairs(fixture.sampler(), 300, 7))
+        program = lambda d, T: verify_over_sample(spec, fixture.sampler(), d, T, n=300, seed=7)
+        reference = lambda d, T: reference_verify(spec, SampledSpace((), d), T, pairs)
+    else:
+        points = fixture.sampled_space(grid=12).points
+        pairs = list(finite_pairs(points))
+        program = lambda d, T: verify_over_finite(spec, SampledSpace(points, d), T)
+        reference = lambda d, T: reference_verify(spec, SampledSpace(points, d), T, pairs)
+    metric, T = fixture.metric, fixture.map
+    if what == "map":
+        bad = pairs[len(pairs) // 2][1]
+
+        def T(x):
+            if x == bad:
+                raise ValueError(f"map fails at {x!r}")
+            return fixture.map(x)
+    else:
+        # a violated pair: the reference loop measures it, and so does
+        # the program, in its arrays and for the violation's numbers
+        violations = program(metric, T).violations
+        chosen = violations[-1 if what == "metric" else len(violations) // 3]
+        a, b = chosen.x, chosen.y
+        hit = pair_of_values(a, b)
+
+        def metric(x, y):
+            if isinstance(x, np.ndarray) and what == "scalar-metric":
+                return fixture.metric(x, y)
+            if np.any(hit(x, y)):
+                raise ValueError(f"metric fails at {a!r}, {b!r}")
+            return fixture.metric(x, y)
+    got = raised(lambda: program(metric, T))
+    assert got == raised(lambda: reference(metric, T))
+    assert got[0] is ValueError
 
 
 def test_closure_error_names_the_same_point():

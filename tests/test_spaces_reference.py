@@ -9,6 +9,7 @@ error messages included.
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -298,10 +299,12 @@ _PIECES = ["0", "1", "7", "42", "000", ".", "+", "-", "/", " ", "_", "٣", "５"
 cell_strings = st.one_of(
     st.sampled_from(SPECIAL_STRINGS),
     st.lists(st.sampled_from(_PIECES), max_size=7).map("".join),
-    # exponents stay small: Fraction builds 10**exp exactly
+    # exponents stay within 10**4: the oracle, Fraction, builds 10**exp exactly
     st.builds(lambda m, e, sep: f"{m}{sep}{e}",
-              st.sampled_from(["1", "-1", "2.5", ".5", "+7.", "0", "-0.0", "123456789"]),
-              st.integers(-400, 400), st.sampled_from(["e", "E", "e+"])),
+              st.sampled_from(["1", "-1", "2.5", ".5", "+7.", "0", "-0.0", "123456789",
+                               "0.00017", "-" + "9" * 40, " 3.25", "1_0"]),
+              st.one_of(st.integers(-400, 400), st.integers(-10**4, 10**4)),
+              st.sampled_from(["e", "E", "e+", "e0"])),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**30, 10**30), st.integers(0, 10**30)),
     st.floats().map(repr),
     st.decimals(allow_nan=False, allow_infinity=False).map(str),
@@ -320,6 +323,22 @@ def test_string_parser_matches_fraction(text):
         with pytest.raises(MalformedSpaceError):
             parse_number(text)
         assert parse_label(text) is None
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1e10000000", ("OverflowError", "integer division result too large for a float")),
+    ("-1e-10000000", "-0.0"),   # -1 / 10**10000000 rounds to -0.0
+    ("0.0e10000000", "0.0"),
+    (" +12.5E-9999999 ", "0.0"),
+])
+def test_huge_exponent_is_decided_at_once(text, want):
+    """Far out of the float range the outcome is that of 1e400 or 1e-400 of
+    the same sign; Fraction would build 10**exp, which takes seconds."""
+    start = time.perf_counter()
+    assert text_outcome(_parse_text, text) == want
+    assert time.perf_counter() - start < 0.5
+    assert want == text_outcome(lambda s: float(Fraction(s)),
+                                text.replace("10000000", "400").replace("9999999", "400"))
 
 
 @pytest.mark.parametrize("text", SPECIAL_STRINGS)
