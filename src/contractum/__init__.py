@@ -54,7 +54,6 @@ from .picard import (
     TraceDiagnostics,
     UniquenessReport,
     audit_trace,
-    check_scaling_condition,
     iterate,
     verify_uniqueness,
 )
@@ -83,9 +82,9 @@ __all__ = [
     "TraceDiagnostics", "TriangleWitness", "UniquenessReport", "Variant",
     "VerificationSummary", "apply_operator", "audit_trace", "builtin_pair",
     "check_increasing", "check_limit_heuristics", "check_pair",
-    "check_phi_positive", "check_scaling_condition", "classify_space",
-    "compile_expression", "iterate", "lambda_bound", "load_space",
-    "m_value", "minimal_coefficient", "refined_residual", "resolve_F",
-    "resolve_phi", "solve", "validate_space", "verify_kernel_condition",
+    "check_phi_positive", "classify_space", "compile_expression",
+    "iterate", "lambda_bound", "load_space", "m_value",
+    "minimal_coefficient", "refined_residual", "resolve_F", "resolve_phi",
+    "solve", "validate_space", "verify_kernel_condition",
     "verify_over_finite", "verify_over_sample", "verify_uniqueness",
 ]

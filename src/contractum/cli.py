@@ -465,14 +465,14 @@ def _cmd_solve_integral(args) -> tuple[int, dict, list[str]]:
     if args.trace:
         result.trace.write_csv(args.trace, s=problem.s)
         lines.append(f"trace written to {args.trace}")
+    values, grid = solution.values.tolist(), grid.tolist()
     if args.out:
         solution.write_csv(args.out)
         lines.append(f"solution written to {args.out}")
     else:
         lines.append("t,x")
-        lines.extend(f"{float(t)},{float(v)}" for t, v in zip(grid, solution.values))
-    report["values"] = [float(v) for v in solution.values]
-    report["grid"] = [float(t) for t in grid]
+        lines.extend(f"{t},{v}" for t, v in zip(grid, values))
+    report["values"], report["grid"] = values, grid
     code = EXIT_PASS if result.converged else EXIT_VIOLATION
     return code, report, lines
 

@@ -27,16 +27,17 @@ d(x,Tx), d(y,Ty), d(y,Tx), d(Tx,Ty) are read from the table through the
 image indices, or come from the metric's array mode; F and phi are
 evaluated once per block. Callables that cannot take arrays are applied
 element by element. Arrays only decide statuses: numpy's log and square
-can differ from libm's log and pow in the last place, so check_pair
-re-decides every pair whose margin or guard quantity lies within a
-relative band of 2^-30 of its threshold (relative to the larger of 1 and
-the terms of the margin, for margins). Every number that is reported
-comes from the scalar verdict. For a violation the arrays decide,
-_verdict runs on the images the block already holds, with the scalar
-distance (a table entry, or the metric's scalar mode on the points and
-images as T gave them) and the scalar F and phi, and each point's
-displacement d(p, Tp) is computed once; T is not applied again, and the
-metric sees only arguments check_pair would pass it. Every verdict under
+can differ from libm's log and pow in the last place, so the scalar
+verdict re-decides every orientation whose margin or guard quantity lies
+within a relative band of 2^-30 of its threshold (relative to the larger
+of 1 and the terms of the margin, for margins). Every number that is
+reported comes from the scalar verdict. For each such orientation, and
+each violation the arrays decide, _verdict runs on the images the block
+already holds, with the scalar distance (a table entry, or the metric's
+scalar mode on the points and images as T gave them) and the scalar F
+and phi, and each point's displacement d(p, Tp) is computed once; T is
+applied exactly once per point of a block, and the metric sees only
+arguments check_pair would pass it. Every verdict under
 collect_all comes from check_pair. A block in which an array call or a
 scalar verdict fails, or in which some pair would make check_pair raise,
 is re-run pair by pair in loop order, so the error names the same first
@@ -254,7 +255,7 @@ class VerificationSummary:
 
 #: pairs per block: bounds the memory of the per-pair arrays
 _PAIR_BLOCK = 1 << 15
-#: relative band around a threshold in which check_pair decides the status
+#: relative band around a threshold in which the scalar verdict decides the status
 _BAND = 2.0 ** -30
 
 #: status codes; an unordered pair's code is the largest of its orientations'
@@ -271,10 +272,11 @@ class _Reference(Exception):
 class _Frame:
     """Points and their images as the array path reads them: ``coord`` and
     ``image`` are what ``dist`` takes (table indices, or point values under
-    a metric), and ``moved`` is d(p, Tp) for each point. The verdicts of
-    the violations read the scalar distance ``scalar`` instead, over the
-    position of each point and the position ``target[p]`` of its image,
-    and keep each point's displacement in ``displaced``."""
+    a metric), and ``moved`` is d(p, Tp) for each point. The scalar
+    verdicts of the flagged orientations read the scalar distance
+    ``scalar`` instead, over the position of each point and the position
+    ``target[p]`` of its image, and keep each point's displacement in
+    ``displaced``."""
 
     points: Sequence
     coord: np.ndarray
@@ -322,7 +324,7 @@ def _near(q: np.ndarray, threshold: float) -> np.ndarray:
 def _orientation_codes(spec: ContractionSpec, tol: float, d_xy, d_txty,
                        d_xtx, d_yty, d_ytx) -> tuple[np.ndarray, np.ndarray]:
     """Status codes of one orientation (x, y) over a block, and the mask of
-    pairs near a threshold, whose status check_pair decides."""
+    pairs near a threshold, whose status the scalar verdict decides."""
     variant = spec.variant
     if variant is Variant.TYPE_F:
         arg = d_xy
@@ -356,12 +358,12 @@ def _orientation_codes(spec: ContractionSpec, tol: float, d_xy, d_txty,
     return codes, near
 
 
-def _array_block(spec: ContractionSpec, space, T: Callable, tol: float, frame: _Frame,
-                 i: np.ndarray, j: np.ndarray, violations: list) -> np.ndarray:
+def _array_block(spec: ContractionSpec, tol: float, frame: _Frame, i: np.ndarray,
+                 j: np.ndarray, violations: list) -> np.ndarray:
     """Codes of the pairs (points[i[k]], points[j[k]]). The arrays decide
-    each orientation's status; check_pair decides those near a threshold,
-    and _verdict, on the frame's images and scalar distances, gives the
-    numbers of each violation, in loop order."""
+    each orientation's status; _verdict, on the frame's images and scalar
+    distances, decides those near a threshold and gives the numbers of
+    each violation, in loop order."""
     dist, coord, image = frame.dist, frame.coord, frame.image
     x, y, tx, ty = coord[i], coord[j], image[i], image[j]
     asymmetric = spec.variant in _ASYMMETRIC
@@ -376,7 +378,6 @@ def _array_block(spec: ContractionSpec, space, T: Callable, tol: float, frame: _
     codes = np.array([c for c, _ in found])
     near = np.array([n for _, n in found])
     k, swapped = np.nonzero(near.T | (codes.T == _VIOLATED))
-    near = near[swapped, k].tolist()
     first = np.where(swapped, j[k], i[k]).tolist()
     second = np.where(swapped, i[k], j[k]).tolist()
     points, target, d, displaced = frame.points, frame.target, frame.scalar, frame.displaced
@@ -388,18 +389,11 @@ def _array_block(spec: ContractionSpec, space, T: Callable, tol: float, frame: _
             value = displaced[p] = d(tp, p) if beta else d(p, tp)
         return value
 
-    for pair, orientation, a, b, decide in zip(k.tolist(), swapped.tolist(), first, second,
-                                               near):
-        if decide:
-            verdict = check_pair(spec, space, T, points[a], points[b], tol=tol)
-            status = verdict.status
-        else:
-            status, lhs, rhs = _verdict(spec, d, moved, a, b, target[a], target[b], tol)
-            if status is Status.VIOLATED:
-                verdict = PairVerdict(points[a], points[b], status, lhs, rhs)
+    for pair, orientation, a, b in zip(k.tolist(), swapped.tolist(), first, second):
+        status, lhs, rhs = _verdict(spec, d, moved, a, b, target[a], target[b], tol)
         codes[orientation, pair] = _CODE[status]
         if status is Status.VIOLATED:
-            violations.append(verdict)
+            violations.append(PairVerdict(points[a], points[b], status, lhs, rhs))
     return codes.max(axis=0)
 
 
@@ -438,7 +432,7 @@ def _verify(spec: ContractionSpec, space, T: Callable, tol: float, collect_all: 
         if frame is not None:
             mark = len(violations)
             try:
-                codes = _array_block(spec, space, T, tol, frame, i, j, violations)
+                codes = _array_block(spec, tol, frame, i, j, violations)
             except Exception:  # whatever it is, the reference loop meets it again
                 del violations[mark:]
         if codes is None:

@@ -15,6 +15,7 @@ summed against the quadrature weights.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -212,12 +213,10 @@ class IntegralSolution:
                 "sup_norm": float(np.max(np.abs(self.values)))}
 
     def write_csv(self, path) -> None:
-        import csv
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x"])
-            for t, v in zip(self.grid, self.values):
-                writer.writerow([float(t), float(v)])
+            writer.writerows(zip(self.grid.tolist(), self.values.tolist()))
 
 
 def solve(problem: IntegralProblem, config: IterationConfig | None = None,

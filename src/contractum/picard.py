@@ -16,12 +16,14 @@ max_iter, ends the loop, and one scan of the recorded orbit then finds
 the first revisit. The result is the one a check at every step gives.
 gap2 = d(x_n, x_{n+2}) is computed after the loop.
 
-Diagnostics audit what a convergent contraction orbit must look like:
-strictly decreasing consecutive gaps, and coefficient-scaled gaps
-s^n * d(x_n, x_{n+1}) trending to zero. The scaled sequences are handled
-in log space (n * ln s + ln gap) because s^n overflows quickly for s = 3;
-the audit compares them with np.log and decides near-ties with math.log,
-which the trace's columns use.
+The trace holds the gaps as float64 arrays, built once after the loop;
+the audit and the CSV writer read them as they are. Diagnostics audit
+what a convergent contraction orbit must look like: strictly decreasing
+consecutive gaps, and coefficient-scaled gaps s^n * d(x_n, x_{n+1})
+trending to zero. The scaled sequences are handled in log space
+(n * ln s + ln gap) because s^n overflows quickly for s = 3; the audit
+compares them with np.log and decides near-ties with math.log, which the
+trace's columns use.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -59,17 +62,19 @@ class IterationConfig:
 class IterationTrace:
     """The recorded orbit with its gap sequences.
 
-    gap1[n] = d(x_n, x_{n+1}) and gap2[n] = d(x_n, x_{n+2}); gap2 is two
-    entries shorter than points. The s-scaled versions depend on the
-    space's coefficient, which the engine does not know, so they are
-    exposed as methods taking s.
+    gap1[n] = d(x_n, x_{n+1}) and gap2[n] = d(x_n, x_{n+2}), held as
+    float64 arrays (sequences are converted); gap2 is two entries shorter
+    than points. The s-scaled versions depend on the space's coefficient,
+    which the engine does not know, so they are exposed as methods taking s.
     """
 
     points: list
-    gap1: list[float]
-    gap2: list[float]
+    gap1: np.ndarray
+    gap2: np.ndarray
 
     def __post_init__(self):
+        self.gap1 = np.asarray(self.gap1, dtype=float)
+        self.gap2 = np.asarray(self.gap2, dtype=float)
         if len(self.gap1) != len(self.points) - 1:
             raise ValueError("gap1 must be one shorter than points")
         if len(self.gap2) != max(0, len(self.points) - 2):
@@ -77,33 +82,19 @@ class IterationTrace:
 
     def log_scaled1(self, s: float) -> list[float]:
         """n * ln(s) + ln(gap1[n]); -inf where the gap is zero."""
-        return _log_scaled(self.gap1, s)
+        return _log_scaled(self.gap1.tolist(), s)
 
     def log_scaled2(self, s: float) -> list[float]:
-        return _log_scaled(self.gap2, s)
-
-    def scaled1(self, s: float) -> list[float]:
-        """s^n * gap1[n], computed via log space (may overflow to inf)."""
-        return _exp(self.log_scaled1(s))
-
-    def scaled2(self, s: float) -> list[float]:
-        return _exp(self.log_scaled2(s))
+        return _log_scaled(self.gap2.tolist(), s)
 
     def write_csv(self, path, s: float) -> None:
-        log1 = self.log_scaled1(s)
-        log2 = self.log_scaled2(s)
+        gap1, gap2 = self.gap1.tolist(), self.gap2.tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "x_n", "gap1", "gap2", "log_scaled1", "log_scaled2"])
-            for n, p in enumerate(self.points):
-                writer.writerow([
-                    n,
-                    _point_repr(p),
-                    self.gap1[n] if n < len(self.gap1) else "",
-                    self.gap2[n] if n < len(self.gap2) else "",
-                    log1[n] if n < len(log1) else "",
-                    log2[n] if n < len(log2) else "",
-                ])
+            writer.writerows(zip_longest(
+                range(len(self.points)), map(_point_repr, self.points), gap1, gap2,
+                _log_scaled(gap1, s), _log_scaled(gap2, s), fillvalue=""))
 
 
 def _log_scaled(gaps: Sequence[float], s: float, first: int = 0) -> list[float]:
@@ -111,18 +102,6 @@ def _log_scaled(gaps: Sequence[float], s: float, first: int = 0) -> list[float]:
     ls = math.log(s)
     return [n * ls + (math.log(g) if g > 0 else -math.inf)
             for n, g in enumerate(gaps, first)]
-
-
-def _exp(logs: Sequence[float]) -> list[float]:
-    """exp of each value; exp(-inf) is exactly 0.0, and a result past the
-    float range is inf."""
-    out = []
-    for v in logs:
-        try:
-            out.append(math.exp(v))
-        except OverflowError:
-            out.append(math.inf)
-    return out
 
 
 def _point_repr(p) -> str:
@@ -231,16 +210,16 @@ def iterate(T: Callable, x0, metric: Callable[[Any, Any], float],
         checkpoint = stop
 
     del points[end + 1:], gaps[end:]
-    gap1 = list(map(float, gaps))
+    gap1 = np.array(gaps, dtype=float)
     gap2 = np.fromiter(map(metric, points, points[2:]), dtype=float,
                        count=len(points) - 2)
     bad = np.flatnonzero(~(gap2 >= 0))             # NaN or negative
     if bad.size:
         k = int(bad[0])
         _checked(float(gap2[k]), points[k], points[k + 2])
-    trace = IterationTrace(points=points, gap1=gap1, gap2=gap2.tolist())
+    trace = IterationTrace(points=points, gap1=gap1, gap2=gap2)
     iterations = end - 1 if status is IterationStatus.CONVERGED else end
-    return FixedPointResult(point=points[end], residual=gap1[-1],
+    return FixedPointResult(point=points[end], residual=float(gap1[-1]),
                             iterations=iterations, status=status, trace=trace)
 
 
@@ -302,10 +281,9 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
     if s < 1:
         raise ValueError(f"coefficient s must be >= 1, got {s}")
 
-    gap1, gap2 = trace.gap1, trace.gap2
-    g = np.asarray(gap1, dtype=float)
+    g, gap2 = trace.gap1, trace.gap2
     start1 = _suffix_start(g, s)
-    start2 = _suffix_start(np.asarray(gap2, dtype=float), s)
+    start2 = _suffix_start(gap2, s)
     # strict decrease over the positive prefix; once a gap hits zero the
     # orbit is constant, so trailing zeros are fine
     zero = g == 0
@@ -320,49 +298,11 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
     # (asymptotic claims are only checkable as trends)
     return TraceDiagnostics(
         gap1_strictly_decreasing=decreasing,
-        scaled1_trending_zero=start1 <= len(gap1) // 2,
+        scaled1_trending_zero=start1 <= len(g) // 2,
         scaled2_trending_zero=start2 <= len(gap2) // 2,
         suffix_start1=start1,
         suffix_start2=start2,
-        tail_rate=gap1[last + 1] / gap1[last] if last is not None else None)
-
-
-@dataclass
-class ScalingConditionReport:
-    """Trace-level test of the sequence-rescaling property: if
-    phi(a_n) + F(s * a_{n+1}) <= F(a_n) holds at every recorded step, then
-    phi(a_n) + F(s^n * a_{n+1}) <= F(s^{n-1} * a_n) must hold as well."""
-
-    premise_all: bool
-    conclusion_all: bool
-    steps_checked: int
-
-    @property
-    def implication_ok(self) -> bool:
-        return (not self.premise_all) or self.conclusion_all
-
-    def to_dict(self) -> dict:
-        return {"premise_all": self.premise_all, "conclusion_all": self.conclusion_all,
-                "steps_checked": self.steps_checked, "implication_ok": self.implication_ok}
-
-
-def check_scaling_condition(trace: IterationTrace, pair, s: float,
-                            tol: float = 1e-12) -> ScalingConditionReport:
-    gaps = trace.gap1
-    k = len(gaps)
-    for i, g in enumerate(gaps):
-        if g <= 0:
-            k = i
-            break
-    F, phi = pair.F, pair.phi
-    premise = all(
-        phi(gaps[n]) + F(s * gaps[n + 1]) <= F(gaps[n]) + tol
-        for n in range(k - 1))
-    conclusion = all(
-        phi(gaps[n]) + F(s ** n * gaps[n + 1]) <= F(s ** (n - 1) * gaps[n]) + tol
-        for n in range(1, k - 1))
-    return ScalingConditionReport(premise_all=premise, conclusion_all=conclusion,
-                                  steps_checked=max(0, k - 1))
+        tail_rate=float(g[last + 1]) / float(g[last]) if last is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -234,8 +234,8 @@ def test_scalar_metric_sees_only_what_the_reference_loop_passes(kind, variant):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("kind", ["grid-3.4", "labels", "sample-3.4"])
 def test_violations_apply_the_map_once_per_point(kind, variant, monkeypatch):
-    """T runs once per point of a block; only the pairs near a threshold,
-    which check_pair decides, apply it again."""
+    """T runs once per point of a block, and check_pair never runs: the
+    pairs near a threshold are decided by the scalar verdict as well."""
     maps, replays = [], []
     monkeypatch.setattr(contractions, "check_pair",
                         lambda *a, **k: replays.append(a[3:5]) or check_pair(*a, **k))
@@ -258,7 +258,8 @@ def test_violations_apply_the_map_once_per_point(kind, variant, monkeypatch):
                                          counted)
             points = len(space.points)
     assert summary.violated > 0
-    assert len(maps) == points + 2 * len(replays)
+    assert replays == []
+    assert len(maps) == points
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +421,22 @@ def near_tie(offset: int):
 
 @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
 def test_near_tie_is_decided_by_check_pair(offset, monkeypatch):
+    """The near tie gets check_pair's status: the block decides it with the
+    scalar verdict check_pair runs, on the positions of (a, b) and their
+    images."""
     spec, space, T = near_tie(offset)
     margin = check_pair(spec, space, T, "a", "b").margin
     assert abs(margin + MARGIN_TOL) <= 3 * math.ulp(math.log(2.0))
     calls = []
-    monkeypatch.setattr(contractions, "check_pair",
-                        lambda *a, **k: calls.append(a[3:5]) or check_pair(*a, **k))
+    verdict = contractions._verdict
+    monkeypatch.setattr(contractions, "_verdict",
+                        lambda *a: calls.append(a[3:7]) or verdict(*a))
     got = verify_over_finite(spec, space, T)
+    monkeypatch.setattr(contractions, "_verdict", verdict)
     want = reference_verify(spec, space, T, finite_pairs(space.points))
     assert got.to_dict() == want.to_dict()
-    assert ("a", "b") in calls
+    # (x, y, Tx, Ty) = (a, b, a, c) as positions 0, 1, 0, 2
+    assert (0, 1, 0, 2) in calls
 
 
 def test_near_tie_flips_between_the_two_modes():
