@@ -27,11 +27,7 @@ from .spaces import (
 )
 from .families import (
     AuxiliaryPair,
-    FamilyTag,
     builtin_pair,
-    check_increasing,
-    check_limit_heuristics,
-    check_phi_positive,
     resolve_F,
     resolve_phi,
 )
@@ -42,7 +38,6 @@ from .contractions import (
     Variant,
     VerificationSummary,
     check_pair,
-    m_value,
     verify_over_finite,
     verify_over_sample,
 )
@@ -73,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryPair", "ClosureError", "CoefficientReport", "ContractionSpec",
-    "ContractumError", "ExpressionError", "FamilyTag", "FiniteSpace",
+    "ContractumError", "ExpressionError", "FiniteSpace",
     "FixedPointResult", "FunctionDomainError", "InsufficientDataError",
     "IntegralProblem", "IntegralSolution", "IterationConfig",
     "IterationStatus", "IterationTrace", "KernelConditionReport",
@@ -81,9 +76,8 @@ __all__ = [
     "QuadrilateralWitness", "SampledSpace", "SizeLimitError", "Status", "TaxonomyFlags",
     "TraceDiagnostics", "TriangleWitness", "UniquenessReport", "Variant",
     "VerificationSummary", "apply_operator", "audit_trace", "builtin_pair",
-    "check_increasing", "check_limit_heuristics", "check_pair",
-    "check_phi_positive", "classify_space", "compile_expression",
-    "iterate", "lambda_bound", "load_space", "m_value",
+    "check_pair", "classify_space", "compile_expression",
+    "iterate", "lambda_bound", "load_space",
     "minimal_coefficient", "refined_residual", "resolve_F", "resolve_phi",
     "solve", "validate_space", "verify_kernel_condition",
     "verify_over_finite", "verify_over_sample", "verify_uniqueness",

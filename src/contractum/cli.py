@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .contractions import ContractionSpec, Variant, verify_over_finite, verify_over_sample
-from .errors import ClosureError, ContractumError, MalformedSpaceError
+from .errors import ClosureError, ContractumError, MalformedSpaceError, ParameterError
 from .expressions import compile_expression
-from .families import AuxiliaryPair, FamilyTag, resolve_F, resolve_phi
+from .families import AuxiliaryPair, resolve_F, resolve_phi
 from .fixtures import (
     ALL_FIXTURE_NAMES,
     INTEGRAL_FIXTURES,
@@ -312,15 +312,16 @@ def _build_check_spec(args, fixture) -> ContractionSpec:
             raise ContractumError("--F and --phi are required without a fixture pair")
         pair = fixture.pair
     else:
-        family = FamilyTag.F if variant is Variant.TYPE_F else FamilyTag.IM
-        pair = AuxiliaryPair(F=resolve_F(args.F), phi=resolve_phi(args.phi),
-                             family=family)
+        pair = AuxiliaryPair(F=resolve_F(args.F), phi=resolve_phi(args.phi))
     betas = None
     if args.betas:
         parts = [p for p in args.betas.split(",") if p.strip()]
         if len(parts) != 4:
             raise ContractumError(f"--betas needs four comma-separated values, got {args.betas!r}")
-        betas = tuple(float(p) for p in parts)
+        try:
+            betas = tuple(float(p) for p in parts)
+        except ValueError:
+            raise ContractumError(f"--betas needs four numbers, got {args.betas!r}") from None
     return ContractionSpec(variant=variant, s=args.s, pair=pair,
                            betas=betas, tau=args.tau)
 
@@ -343,7 +344,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         args.s = fixture.s if fixture else 1.0
     spec = _build_check_spec(args, fixture)
 
-    if args.sample:
+    if args.sample is not None:
         if fixture is None:
             raise ContractumError("--sample needs --fixture (a continuous domain)")
         T = _fixture_map(args, fixture)
@@ -377,14 +378,14 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _iterate_domain(args):
-    """Resolve (metric, T, x0, s) for the iterate subcommand."""
+    """Resolve (metric, T, x0, default s) for the iterate subcommand."""
     sources = [bool(args.space), bool(args.domain), bool(args.fixture)]
     if sum(sources) != 1:
         raise ContractumError("exactly one of --space, --domain, --fixture is required")
     if args.fixture:
         fixture = _space_fixture(args.fixture)
         T = _fixture_map(args, fixture)
-        return fixture.metric, T, _start_point(args, fixture.contains), (args.s or fixture.s)
+        return fixture.metric, T, _start_point(args, fixture.contains), fixture.s
     if args.domain:
         if not args.domain.startswith("interval:"):
             raise ContractumError(f"--domain must look like interval:a,b, got {args.domain!r}")
@@ -398,18 +399,22 @@ def _iterate_domain(args):
             raise ContractumError("--map is required with --domain")
         contains = lambda x: a <= x <= b
         return ((lambda x, y: abs(x - y)), _closed_map(_resolve_map(args.map), contains),
-                _start_point(args, contains), (args.s or 1.0))
+                _start_point(args, contains), 1.0)
     space = load_space(args.space)
     if not args.map:
         raise ContractumError("--map is required with --space")
     T = _wrap_value_map_for_labels(space, _resolve_map(args.map))
     if args.x0 not in space.points:
         raise ContractumError(f"--x0 {args.x0!r} is not a point of the space")
-    return space.distance, T, args.x0, (args.s or 1.0)
+    return space.distance, T, args.x0, 1.0
 
 
 def _cmd_iterate(args) -> tuple[int, dict, list[str]]:
     metric, T, x0, s = _iterate_domain(args)
+    if args.s is not None:
+        s = args.s
+    if not s >= 1:  # before the orbit runs: the audit and the trace's scaled gaps need it
+        raise ParameterError(f"coefficient s must be >= 1, got {s}")
     config = IterationConfig(tol=args.tol, max_iter=args.max_iter)
     result = iterate(T, x0, metric, config)
     report = result.to_dict()
@@ -453,7 +458,7 @@ def _cmd_solve_integral(args) -> tuple[int, dict, list[str]]:
     if solution.lambda_bound_exceeded:
         lines.append("warning: |lambda| exceeds the contraction bound; "
                      "uniqueness is not guaranteed")
-    if args.check_kernel:
+    if args.check_kernel is not None:
         kc = verify_kernel_condition(problem, n=args.check_kernel, seed=args.seed)
         report["kernel_condition"] = kc.to_dict()
         lines.append(f"kernel condition (advisory, {kc.checked} samples): "

@@ -58,7 +58,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ClosureError, FunctionDomainError
+from .errors import ClosureError, FunctionDomainError, ParameterError
 from .expressions import array_values
 from .families import AuxiliaryPair
 from .spaces import FiniteSpace, SampledSpace
@@ -91,10 +91,6 @@ class Status(str, Enum):
 class ContractionSpec:
     """Which inequality to test, with its coefficient and auxiliary pair.
 
-    The type-F variant presumes an F-family pair; the others presume an
-    Im-family (continuous) F. The tag is declared, not certifiable, so a
-    mismatch is the caller's responsibility and is not rejected here.
-
     ``tau`` models the constant-perturbation shortcut: when set, phi is
     replaced by the constant function tau. ``betas`` are required for the
     beta-combo variant (four nonnegative weights summing to at most 1) and
@@ -108,21 +104,21 @@ class ContractionSpec:
     tau: float | None = None
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"coefficient s must be >= 1, got {self.s}")
+        if not self.s >= 1:
+            raise ParameterError(f"coefficient s must be >= 1, got {self.s}")
         if self.variant is Variant.BETA_COMBO:
             if self.betas is None:
-                raise ValueError("beta-combo requires four beta weights")
+                raise ParameterError("beta-combo requires four beta weights")
             betas = tuple(float(b) for b in self.betas)
-            if len(betas) != 4 or any(b < 0 for b in betas):
-                raise ValueError("betas must be four nonnegative reals")
+            if len(betas) != 4 or any(not b >= 0 for b in betas):
+                raise ParameterError("betas must be four nonnegative reals")
             if sum(betas) > 1 + 1e-12:
-                raise ValueError(f"betas must sum to at most 1, got {sum(betas)}")
+                raise ParameterError(f"betas must sum to at most 1, got {sum(betas)}")
             object.__setattr__(self, "betas", betas)
         elif self.betas is not None:
-            raise ValueError(f"variant {self.variant.value} does not take betas")
+            raise ParameterError(f"variant {self.variant.value} does not take betas")
         if self.tau is not None and not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ParameterError(f"tau must be positive, got {self.tau}")
 
     def phi(self, t: float) -> float:
         return self.tau if self.tau is not None else self.pair.phi(t)
@@ -152,13 +148,6 @@ def _apply_map(space, T, x):
     if not space.contains(tx):
         raise ClosureError(x)
     return tx
-
-
-def m_value(space, T: Callable, x, y) -> float:
-    """The comparison maximum max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}."""
-    d = space.distance
-    return _rhs_argument(Variant.TYPE_IM, d, d, x, y,
-                         _apply_map(space, T, x), _apply_map(space, T, y))
 
 
 def _rhs_argument(variant: Variant, d, moved, x, y, tx, ty, betas=None) -> float:
@@ -478,7 +467,7 @@ def verify_over_sample(spec: ContractionSpec, sampler: Callable,
     given seed. Each pair draws its x, then its y. Report shape matches
     verify_over_finite."""
     if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+        raise ParameterError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
 
     def blocks():

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .contractions import Variant
-from .families import AuxiliaryPair, FamilyTag, builtin_pair
+from .families import AuxiliaryPair, builtin_pair
 from .integral import IntegralProblem
 from .spaces import FiniteSpace, SampledSpace
 
@@ -171,7 +171,7 @@ EXAMPLE_3_4 = ExampleFixture(
     s=3.0,
     metric=_METRIC_FOUR,
     map=_quartic_root_map(frozenset({0.0, 0.5, 1.0 / 3.0, 0.25}), 1.0, 2.0, 0.25),
-    pair=builtin_pair("ln_plus_sqrt", "inv_1p", FamilyTag.F, k_exponent=0.5),
+    pair=builtin_pair("ln_plus_sqrt", "inv_1p"),
     variant=Variant.TYPE_F,
     fixed_point=1.0,
 )
@@ -185,7 +185,7 @@ EXAMPLE_3_10 = ExampleFixture(
     s=3.0,
     metric=_METRIC_FOUR,
     map=_quartic_root_map(frozenset({0.0, 0.5, 1.0 / 3.0, 0.25}), 1.0, 2.5, 1.0 / 6.0),
-    pair=builtin_pair("ln_sqrt", "inv_2p", FamilyTag.IM, k_exponent=0.5),
+    pair=builtin_pair("ln_sqrt", "inv_2p"),
     variant=Variant.TYPE_IM,
     fixed_point=1.0,
 )

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, ParameterError
 from .expressions import array_values
 from .picard import FixedPointResult, IterationConfig, iterate
 
@@ -138,7 +138,7 @@ def verify_kernel_condition(problem: IntegralProblem, n: int = 1000,
     sample in turn, and a y equal to its x is redrawn. The report is
     advisory."""
     if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+        raise ParameterError(f"sample count must be >= 1, got {n}")
     lo, hi = -3.0, 3.0
     rng = np.random.default_rng(seed)
     draw = rng.uniform((problem.a, problem.a, lo, lo), (problem.b, problem.b, hi, hi),

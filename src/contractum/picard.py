@@ -37,7 +37,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericError
+from .errors import InsufficientDataError, NumericError, ParameterError
 
 
 class IterationStatus(str, Enum):
@@ -65,7 +65,7 @@ class IterationTrace:
     gap1[n] = d(x_n, x_{n+1}) and gap2[n] = d(x_n, x_{n+2}), held as
     float64 arrays (sequences are converted); gap2 is two entries shorter
     than points. The s-scaled versions depend on the space's coefficient,
-    which the engine does not know, so they are exposed as methods taking s.
+    which the engine does not know, so write_csv takes s and writes them.
     """
 
     points: list
@@ -79,13 +79,6 @@ class IterationTrace:
             raise ValueError("gap1 must be one shorter than points")
         if len(self.gap2) != max(0, len(self.points) - 2):
             raise ValueError("gap2 must be two shorter than points")
-
-    def log_scaled1(self, s: float) -> list[float]:
-        """n * ln(s) + ln(gap1[n]); -inf where the gap is zero."""
-        return _log_scaled(self.gap1.tolist(), s)
-
-    def log_scaled2(self, s: float) -> list[float]:
-        return _log_scaled(self.gap2.tolist(), s)
 
     def write_csv(self, path, s: float) -> None:
         gap1, gap2 = self.gap1.tolist(), self.gap2.tolist()
@@ -278,8 +271,8 @@ def audit_trace(trace: IterationTrace, s: float) -> TraceDiagnostics:
     if len(trace.points) < 3:
         raise InsufficientDataError(
             f"trace has {len(trace.points)} points; at least 3 are needed")
-    if s < 1:
-        raise ValueError(f"coefficient s must be >= 1, got {s}")
+    if not s >= 1:
+        raise ParameterError(f"coefficient s must be >= 1, got {s}")
 
     g, gap2 = trace.gap1, trace.gap2
     start1 = _suffix_start(g, s)

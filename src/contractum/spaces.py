@@ -235,11 +235,6 @@ class FiniteSpace:
         return minima
 
     @classmethod
-    def from_table(cls, points: Sequence, table: Sequence[Sequence]) -> "FiniteSpace":
-        D = [[parse_number(v) for v in row] for row in table]
-        return cls(tuple(points), np.array(D, dtype=float))
-
-    @classmethod
     def from_metric(cls, values: Sequence[float],
                     metric: Callable[[float, float], float],
                     labels: Sequence[str] | None = None) -> "FiniteSpace":
@@ -268,12 +263,6 @@ class FiniteSpace:
     @property
     def values(self) -> tuple[float | None, ...]:
         return tuple(parse_label(p) for p in self.points)
-
-    def permuted(self, order: Sequence[int]) -> "FiniteSpace":
-        """Same space with points reordered; useful for invariance checks."""
-        order = list(order)
-        pts = tuple(self.points[i] for i in order)
-        return FiniteSpace(pts, self.dist[np.ix_(order, order)])
 
     # -- serialization ----------------------------------------------------
 
@@ -496,10 +485,6 @@ class TaxonomyFlags:
     b_rectangular_s: float | None
     triangle_witnesses: tuple[TriangleWitness, ...] = ()
     quadrilateral_witnesses: tuple[QuadrilateralWitness, ...] = ()
-
-    @property
-    def witnesses(self) -> tuple:
-        return self.triangle_witnesses + self.quadrilateral_witnesses
 
     def to_dict(self) -> dict:
         return {

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from contractum import cli
 from contractum.cli import dispatch
 
 
@@ -300,6 +301,47 @@ class TestInputEdges:
     def test_negative_or_nan_tolerance_is_input_error(self, argv, tol, space_file, capsys):
         assert dispatch([argv[0], str(space_file), *argv[1:], "--tol", tol]) == 2
         assert f"tolerance must be >= 0, got {float(tol)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--fixture", "example-3.4", "--variant", "typeF", "--s", "0.5"],
+         "coefficient s must be >= 1, got 0.5"),
+        # NaN used to pass the range checks and report every pair violated
+        (["check", "--fixture", "example-3.4", "--variant", "typeF", "--s", "nan"],
+         "coefficient s must be >= 1, got nan"),
+        (["check", "--fixture", "example-3.4", "--variant", "beta",
+          "--betas", "0.5,0.5,0.5,0.5"], "betas must sum to at most 1, got 2.0"),
+        (["check", "--fixture", "example-3.4", "--variant", "beta",
+          "--betas", "0.5,-0.5,0,0"], "betas must be four nonnegative reals"),
+        (["check", "--fixture", "example-3.4", "--variant", "beta",
+          "--betas", "nan,0,0,0"], "betas must be four nonnegative reals"),
+        (["check", "--fixture", "example-3.4", "--variant", "beta",
+          "--betas", "a,b,c,d"], "--betas needs four numbers, got 'a,b,c,d'"),
+        (["check", "--fixture", "example-3.4", "--variant", "typeF",
+          "--betas", "0.1,0.1,0.1,0.1"], "variant typeF does not take betas"),
+        (["check", "--fixture", "example-3.4", "--variant", "typeF", "--tau", "0"],
+         "tau must be positive, got 0.0"),
+        # a zero sample count used to check the grid instead
+        (["check", "--fixture", "example-3.4", "--variant", "typeF", "--sample", "0"],
+         "sample count must be >= 1, got 0"),
+        # and a zero kernel-check count used to skip the check
+        (["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.1", "--s", "3",
+          "--kernel", "sin(x)", "--m", "9", "--check-kernel", "0"],
+         "sample count must be >= 1, got 0"),
+    ])
+    def test_out_of_range_parameter_is_input_error(self, argv, message, capsys):
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("source", [
+        ["--domain", "interval:0,1", "--map", "x/2", "--x0", "0.5"],
+        ["--fixture", "example-3.4", "--x0", "2"],
+    ])
+    @pytest.mark.parametrize("s", ["0.5", "0", "nan"])
+    def test_iterate_coefficient_below_one_is_rejected_before_the_orbit(
+            self, source, s, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "iterate", lambda *args: pytest.fail("the orbit ran"))
+        assert dispatch(["iterate", *source, "--s", s]) == 2
+        assert capsys.readouterr().err == f"error: coefficient s must be >= 1, got {float(s)}\n"
 
 
 class TestClosure:

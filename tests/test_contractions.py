@@ -7,15 +7,15 @@ from contractum.contractions import (
     ContractionSpec,
     Status,
     Variant,
+    _rhs_argument,
     check_pair,
-    m_value,
     verify_over_finite,
     verify_over_sample,
 )
 from contractum.errors import ClosureError, FunctionDomainError
 from contractum.families import AuxiliaryPair, builtin_pair
 from contractum.fixtures import EXAMPLE_3_4, EXAMPLE_3_10
-from contractum.spaces import FiniteSpace, SampledSpace
+from contractum.spaces import FiniteSpace, SampledSpace, space_from_json
 
 
 def spec_3_4():
@@ -58,6 +58,12 @@ class TestSpecValidation:
         assert spec.phi(12345.0) == 0.25
 
 
+def m_value(space, T, x, y):
+    """The comparison maximum max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}."""
+    d = space.distance
+    return _rhs_argument(Variant.TYPE_IM, d, d, x, y, T(x), T(y))
+
+
 class TestMValue:
     def test_example_3_4_zero_and_half(self):
         space = EXAMPLE_3_4.sampled_space(grid=0)
@@ -70,22 +76,23 @@ class TestMValue:
         assert m_value(space, EXAMPLE_3_4.map, 1.0, 1.0) == 0.0
 
     def test_two_fixed_points_reduce_to_distance(self):
-        sp = FiniteSpace.from_table(["z", "u"], [[0, 2], [2, 0]])
+        sp = space_from_json({"points": ["z", "u"], "distances": [[0, 2], [2, 0]]})
         T = {"z": "z", "u": "u"}.get
         assert m_value(sp, T, "z", "u") == sp.distance("z", "u")
 
     def test_asymmetry(self):
-        sp = FiniteSpace.from_table(
-            ["a", "b", "c"],
-            [[0, 10, 1], [10, 0, 2], [1, 2, 0]])
+        sp = space_from_json({"points": ["a", "b", "c"],
+                              "distances": [[0, 10, 1], [10, 0, 2], [1, 2, 0]]})
         T = {"a": "a", "b": "b", "c": "b"}.get
         assert m_value(sp, T, "a", "c") == 2.0
         assert m_value(sp, T, "c", "a") == 10.0
 
     def test_closure_error_names_source_point(self):
-        sp = FiniteSpace.from_table(["a", "b"], [[0, 1], [1, 0]])
+        sp = space_from_json({"points": ["a", "b"], "distances": [[0, 1], [1, 0]]})
+        spec = ContractionSpec(variant=Variant.TYPE_IM, s=1.0,
+                               pair=builtin_pair("ln", "inv_1p"))
         with pytest.raises(ClosureError) as exc:
-            m_value(sp, lambda p: "zzz", "a", "b")
+            check_pair(spec, sp, lambda p: "zzz", "a", "b")
         assert exc.value.point == "a"
 
 
@@ -114,8 +121,8 @@ class TestCheckPair:
         assert (a.lhs, a.rhs, a.status) == (b.lhs, b.rhs, b.status)
 
     def test_kannan_both_fixed_is_vacuous(self):
-        sp = FiniteSpace.from_table(["z", "u", "w"],
-                                    [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+        sp = space_from_json({"points": ["z", "u", "w"],
+                              "distances": [[0, 2, 1], [2, 0, 1], [1, 1, 0]]})
         T = {"z": "z", "u": "u", "w": "z"}.get
         spec = ContractionSpec(variant=Variant.KANNAN, s=1.0,
                                pair=builtin_pair("ln", "inv_1p"))
@@ -148,8 +155,8 @@ class TestCheckPair:
 
     def test_domain_error_when_rhs_argument_nonpositive(self):
         # distinct points at distance zero break the type-F right side
-        sp = FiniteSpace.from_table(["a", "b", "c"],
-                                    [[0, 0, 1], [0, 0, 2], [1, 2, 0]])
+        sp = space_from_json({"points": ["a", "b", "c"],
+                              "distances": [[0, 0, 1], [0, 0, 2], [1, 2, 0]]})
         T = {"a": "a", "b": "c", "c": "b"}.get
         with pytest.raises(FunctionDomainError) as exc:
             check_pair(spec_3_4(), sp, T, "a", "b")

@@ -2,120 +2,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from contractum.errors import ExpressionError, FunctionDomainError
+from contractum.errors import ExpressionError
 from contractum.families import (
-    DEFAULT_GRID,
-    AuxiliaryPair,
-    FamilyTag,
-    builtin_pair,
-    check_increasing,
-    check_limit_heuristics,
-    check_phi_positive,
+    F_REGISTRY,
+    PHI_REGISTRY,
     constant_phi,
     resolve_F,
     resolve_phi,
 )
 
 
-def pair_of(F, phi=lambda t: 1.0 / (1.0 + t), k=0.5):
-    return AuxiliaryPair(F=F, phi=phi, k_exponent=k)
-
-
-class TestCheckIncreasing:
-    def test_ln_plus_sqrt(self):
-        pair = builtin_pair("ln_plus_sqrt", "inv_1p")
-        assert check_increasing(pair, [0.1, 0.5, 1, 2, 10]).ok
-
-    def test_ln_sqrt(self):
-        pair = builtin_pair("ln_sqrt", "inv_2p")
-        assert check_increasing(pair, [0.01, 1, 4]).ok
-
-    def test_decreasing_function_names_witness(self):
-        res = check_increasing(pair_of(lambda t: -t), [1.0, 2.0])
-        assert not res.ok
-        assert res.violation == (1.0, 2.0)
-
-    def test_nonpositive_grid_entry(self):
-        with pytest.raises(FunctionDomainError):
-            check_increasing(pair_of(math.log), [0.0, 1.0])
-
-    def test_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            check_increasing(pair_of(math.log), [2.0, 1.0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(0.01, 50), min_size=2, max_size=8, unique=True),
-           st.lists(st.floats(0.01, 50), min_size=0, max_size=6, unique=True))
-    def test_failure_survives_grid_refinement(self, grid, extra):
-        # a failure cannot be repaired by adding more sample points
-        pair = pair_of(math.sin, k=None)
-        base = sorted(grid)
-        if not check_increasing(pair, base).ok:
-            refined = sorted(set(base) | set(extra))
-            assert not check_increasing(pair, refined).ok
-
-
-class TestCheckPhiPositive:
-    def test_inv_1p_min_at_largest_point(self):
-        grid = list(np.geomspace(0.01, 100, 40))
-        res = check_phi_positive(builtin_pair("ln", "inv_1p"), grid)
-        assert res.ok
-        assert res.argmin == grid[-1]
-        assert res.minimum == pytest.approx(1 / 101, rel=1e-12)
-
-    def test_inv_2p(self):
-        grid = list(np.geomspace(0.01, 100, 40))
-        assert check_phi_positive(builtin_pair("ln", "inv_2p"), grid).ok
-
-    def test_zero_value_fails(self):
-        res = check_phi_positive(pair_of(math.log, phi=lambda t: max(0.0, t - 1)),
-                                 [0.5])
-        assert not res.ok
-        assert res.minimum == 0.0
-
-
-class TestLimitHeuristics:
-    def test_ln_both_trends(self):
-        pair = AuxiliaryPair(F=math.log, phi=lambda t: 1 / (1 + t), k_exponent=0.5)
-        seq = [2.0 ** -n for n in range(1, 41)]
-        res = check_limit_heuristics(pair, seq)
-        assert res.advisory
-        assert res.f_diverging_down
-        assert res.weighted_vanishing
-
-    def test_x_plus_ln_diverges_down(self):
-        pair = AuxiliaryPair(F=lambda t: t + math.log(t), phi=lambda t: 1.0)
-        seq = [10.0 ** -n for n in range(1, 12)]
-        assert check_limit_heuristics(pair, seq).f_diverging_down
-
-    def test_constant_fails_divergence(self):
-        pair = pair_of(lambda t: 1.0)
-        seq = [2.0 ** -n for n in range(1, 12)]
-        assert not check_limit_heuristics(pair, seq).f_diverging_down
-
-    def test_short_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            check_limit_heuristics(pair_of(math.log), [0.5, 0.25, 0.125])
-
-    def test_no_k_no_vanishing_verdict(self):
-        pair = pair_of(math.log, k=None)
-        seq = [2.0 ** -n for n in range(1, 12)]
-        assert check_limit_heuristics(pair, seq).weighted_vanishing is None
-
-
 def test_builtin_pairs_pass_all_checks_on_default_grid():
-    grid = list(DEFAULT_GRID)
+    # the magnitudes that appear in all built-in examples
+    grid = np.geomspace(1e-6, 1e3, 64).tolist()
+    for F in F_REGISTRY.values():
+        values = [F(x) for x in grid]
+        assert all(a < b for a, b in zip(values, values[1:]))
+    for phi in PHI_REGISTRY.values():
+        assert all(phi(x) > 0 for x in grid)
+    # the limit trends along x_n = 2^-n: F heads down, and x^0.5 * F(x)
+    # shrinks over the tail
     decay = [2.0 ** -n for n in range(1, 41)]
-    for pair in (builtin_pair("ln_plus_sqrt", "inv_1p"),
-                 builtin_pair("ln_sqrt", "inv_2p", FamilyTag.IM)):
-        assert check_increasing(pair, grid).ok
-        assert check_phi_positive(pair, grid).ok
-        trends = check_limit_heuristics(pair, decay)
-        assert trends.f_diverging_down
-        assert trends.weighted_vanishing
+    for name in ("ln_plus_sqrt", "ln_sqrt"):
+        values = [F_REGISTRY[name](x) for x in decay]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        tail = [abs(x ** 0.5 * f) for x, f in zip(decay, values)][len(decay) // 2:]
+        assert all(b < a for a, b in zip(tail, tail[1:]))
 
 
 class TestRegistries:
@@ -138,7 +51,3 @@ class TestRegistries:
     def test_constant_phi_positive_only(self):
         with pytest.raises(ValueError):
             constant_phi(0.0)
-
-    def test_bad_k_exponent(self):
-        with pytest.raises(ValueError):
-            AuxiliaryPair(F=math.log, phi=lambda t: 1.0, k_exponent=1.5)

@@ -250,22 +250,22 @@ class TestTrace:
         with pytest.raises(ValueError):
             IterationTrace(points=[4, 2, 1], gap1=[2, 1], gap2=[])
 
-    def test_scaled_sequences_match_direct_powers(self):
+    def test_scaled_sequences_match_direct_powers(self, tmp_path):
         result = iterate(EXAMPLE_3_4.map, 2.0, EXAMPLE_3_4.metric)
         trace = result.trace
-        for n, (g, scaled) in enumerate(zip(trace.gap1, np.exp(trace.log_scaled1(3.0)))):
+        log1, _ = _log_columns(trace, 3.0, tmp_path)
+        for n, (g, scaled) in enumerate(zip(trace.gap1, np.exp(log1))):
             assert scaled == pytest.approx(3.0 ** n * g, rel=1e-12)
 
-    def test_log_scaled_handles_zero_gaps(self):
+    def test_log_scaled_handles_zero_gaps(self, tmp_path):
         trace = IterationTrace(points=[1.0, 1.0, 1.0], gap1=[0.0, 0.0], gap2=[0.0])
-        assert trace.log_scaled1(3.0) == [-math.inf, -math.inf]
-        assert trace.log_scaled2(3.0) == [-math.inf]
+        assert _log_columns(trace, 3.0, tmp_path) == ([-math.inf, -math.inf], [-math.inf])
 
-    def test_scaled_gaps_overflow_to_inf(self):
+    def test_scaled_gaps_overflow_to_inf(self, tmp_path):
         # 700 * ln 3 is about 769, past the largest finite exp argument
         # (709.78): the log-scaled values stay finite where s^n * gap is not
         trace = IterationTrace(points=[0.0] * 702, gap1=[1.0] * 701, gap2=[1.0] * 700)
-        for logs in (trace.log_scaled1(3.0), trace.log_scaled2(3.0)):
+        for logs in _log_columns(trace, 3.0, tmp_path):
             assert logs == [n * math.log(3.0) for n in range(len(logs))]
             with np.errstate(over="ignore"):
                 scaled = np.exp(logs)
@@ -279,6 +279,15 @@ class TestTrace:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "n,x_n,gap1,gap2,log_scaled1,log_scaled2"
         assert len(rows) == len(result.trace.points) + 1
+
+
+def _log_columns(trace, s, tmp_path):
+    """The log_scaled1 and log_scaled2 columns of the trace's CSV, as floats."""
+    path = tmp_path / "columns.csv"
+    trace.write_csv(path, s=s)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return tuple([float(row[k]) for row in rows if row[k]] for k in (4, 5))
 
 
 def _reference_write_csv(trace, path, s):
