@@ -37,7 +37,7 @@ from .fixtures import (
     integral_sin_problem,
 )
 from .integral import IntegralProblem, refined_residual, solve, verify_kernel_condition
-from .picard import IterationConfig, audit_trace, iterate, verify_uniqueness
+from .picard import IterationConfig, abs_distance, audit_trace, iterate, verify_uniqueness
 from .spaces import (
     classify_space,
     load_space,
@@ -213,9 +213,25 @@ def _resolve_map(spec: str):
 
 def _closed_map(T, contains):
     """T on a continuous domain given by its membership test: a point whose
-    image leaves the domain raises ClosureError."""
+    image leaves the domain raises ClosureError. T.scalar, a compiled
+    expression's bare lambda, takes each float step; the checked T takes
+    again a step on which it raises or gives a non-float."""
+    scalar = getattr(T, "scalar", None)
+    if scalar is None:
+        def closed(x):
+            image = T(x)
+            if not contains(image):
+                raise ClosureError(x)
+            return image
+        return closed
+
     def closed(x):
-        image = T(x)
+        try:
+            image = scalar(x) if type(x) is float else None
+        except Exception:
+            image = None
+        if type(image) is not float:
+            image = T(x)
         if not contains(image):
             raise ClosureError(x)
         return image
@@ -398,7 +414,7 @@ def _iterate_domain(args):
         if not args.map:
             raise ContractumError("--map is required with --domain")
         contains = lambda x: a <= x <= b
-        return ((lambda x, y: abs(x - y)), _closed_map(_resolve_map(args.map), contains),
+        return (abs_distance, _closed_map(_resolve_map(args.map), contains),
                 _start_point(args, contains), 1.0)
     space = load_space(args.space)
     if not args.map:

@@ -468,6 +468,8 @@ def verify_over_sample(spec: ContractionSpec, sampler: Callable,
     verify_over_finite."""
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def blocks():

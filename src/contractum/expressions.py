@@ -157,6 +157,7 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> Callable[..., f
 
     evaluate.__name__ = f"expr({text})"
     evaluate.expression = text  # type: ignore[attr-defined]
+    evaluate.scalar = scalar  # type: ignore[attr-defined]  # unchecked, floats only
     return evaluate
 
 

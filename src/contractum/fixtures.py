@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .contractions import Variant
+from .errors import ParameterError
 from .families import AuxiliaryPair, builtin_pair
 from .integral import IntegralProblem
 from .spaces import FiniteSpace, SampledSpace
@@ -87,6 +88,8 @@ class ExampleFixture:
         return tuple(float(Fraction(p)) for p in self.finite_labels)
 
     def values(self, grid: int = 0) -> list[float]:
+        if grid < 0:
+            raise ParameterError(f"grid must be >= 0, got {grid}")
         vals = list(self.finite_values)
         if grid:
             vals.extend(_interval_grid(*self.interval, grid))

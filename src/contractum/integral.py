@@ -139,6 +139,8 @@ def verify_kernel_condition(problem: IntegralProblem, n: int = 1000,
     advisory."""
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     lo, hi = -3.0, 3.0
     rng = np.random.default_rng(seed)
     draw = rng.uniform((problem.a, problem.a, lo, lo), (problem.b, problem.b, hi, hi),

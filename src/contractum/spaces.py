@@ -687,7 +687,9 @@ def validate_space(space: FiniteSpace, s: float, *, tol: float = DEFAULT_TOL,
                                      QuadrilateralWitness)), None)
     else:
         if sample < 1:
-            raise ValueError("sample count must be >= 1")
+            raise ParameterError(f"sample count must be >= 1, got {sample}")
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         max_ratio, extremal = _sampled_max_ratio(space, sample, seed)
 
     holds = max_ratio <= s + tol

@@ -332,6 +332,35 @@ class TestInputEdges:
         assert dispatch(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # numpy's default_rng raised ValueError out of dispatch: exit 1
+        (["check", "--fixture", "example-3.4", "--variant", "typeF", "--sample", "10",
+          "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.1", "--s", "3",
+          "--kernel", "sin(x)", "--m", "9", "--check-kernel", "5", "--seed", "-3"],
+         "seed must be >= 0, got -3"),
+        # and numpy's linspace
+        (["check", "--fixture", "example-3.4", "--variant", "typeF", "--grid", "-5"],
+         "grid must be >= 0, got -5"),
+        (["examples", "export", "example-3.4", "--grid", "-5"], "grid must be >= 0, got -5"),
+    ])
+    def test_negative_seed_or_grid_is_input_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "space.json"
+        if argv[0] == "examples":
+            argv = [*argv, "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--sample", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--sample", "0"], "sample count must be >= 1, got 0"),
+    ])
+    def test_validate_space_sample_options_are_input_errors(self, options, message,
+                                                           space_file, capsys):
+        assert dispatch(["validate-space", str(space_file), "--s", "3", *options]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("source", [
         ["--domain", "interval:0,1", "--map", "x/2", "--x0", "0.5"],
         ["--fixture", "example-3.4", "--x0", "2"],
