@@ -13,6 +13,7 @@ any flag (command-line values win).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -615,14 +616,28 @@ def _cmd_examples(args) -> tuple[int, dict, list[str]]:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _ConfigGiven(Exception):
+    """Raised, with the path, when the shared parser reads --config: a config
+    changes defaults and required flags, so the run gets a parser of its own."""
+
+
+class _ConfigAction(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _ConfigGiven(values)
+
+
+def _build_parser(config: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a config path, one with that config applied."""
     parser = argparse.ArgumentParser(
         prog="contractum",
         description="Generalized metric space validation, contraction checking, "
                     "Picard iteration, and Fredholm integral equations.")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report on stdout")
+    # argparse resolves every spelling (--config=PATH, a unique prefix) to
+    # this action, before the subcommand's own flags are parsed
     parser.add_argument("--config", type=str, default=None,
+                        action=_ConfigAction if config is None else "store",
                         help="JSON file supplying default values for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -708,39 +723,53 @@ def _build_parser() -> argparse.ArgumentParser:
     negative_number = re.compile(r"-\.?\d")
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = negative_number
+    if config is not None:
+        _apply_config(parser, sub.choices.values(), config)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return  # argparse will report the missing value
-    config = read_json(Path(argv[idx + 1]).read_text(), ContractumError)
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every argv without --config, built on first use;
+    parsing leaves it unchanged."""
+    return _build_parser()
+
+
+def _apply_config(parser: argparse.ArgumentParser, subparsers, path: str) -> None:
+    """Make the values of the JSON object in path the defaults of the flags
+    they name. A key is a flag name (lambda, max-iter) or a dest (lam,
+    max_iter); a key that names no flag of any command is an error."""
+    config = read_json(Path(path).read_text(), ContractumError)
     if not isinstance(config, dict):
         raise ContractumError("config file must hold a JSON object of flag values")
-    defaults = {k.replace("-", "_"): v for k, v in config.items()}
-    parser.set_defaults(**{k: v for k, v in defaults.items()
-                           if any(a.dest == k for a in parser._actions)})
-    # subparsers parse into a fresh namespace, so defaults go on their own
-    # actions; a value from the config also satisfies a required flag
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                known = {a.dest for a in sub._actions}
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-                for sub_action in sub._actions:
-                    if sub_action.dest in defaults:
-                        sub_action.required = False
+    used = set()
+    for p in (parser, *subparsers):
+        names = {}
+        for action in p._actions:
+            if action.default is not argparse.SUPPRESS:  # not --help
+                names[action.dest] = action
+                names.update((o.lstrip("-"), action) for o in action.option_strings)
+        matched = {k: names[k] for k in config if k in names}
+        used.update(matched)
+        p.set_defaults(**{action.dest: config[k] for k, action in matched.items()})
+        # subparsers parse into a fresh namespace, so defaults go on their
+        # own actions; a value from the config also satisfies a required
+        # flag of a command
+        if p is not parser:
+            for action in matched.values():
+                action.required = False
+    unknown = [k for k in config if k not in used]
+    if unknown:
+        raise ContractumError(f"config key {unknown[0]!r} names no flag of any command")
 
 
 def dispatch(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        try:
+            args = _shared_parser().parse_args(argv)
+        except _ConfigGiven as given:
+            args = _build_parser(*given.args).parse_args(argv)
         if args.command == "examples" and args.action in ("run", "export") and not args.name:
             raise ContractumError(f"examples {args.action} needs a fixture name")
         start = time.perf_counter()

@@ -62,13 +62,13 @@ class IntegralProblem:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if self.m < 2:
-            raise ValueError(f"grid size must be >= 2, got {self.m}")
+            raise ParameterError(f"grid size must be >= 2, got {self.m}")
         if not self.s > 1:
-            raise ValueError(f"coefficient s must be > 1, got {self.s}")
+            raise ParameterError(f"coefficient s must be > 1, got {self.s}")
         if self.quadrature not in ("trapezoid", "simpson"):
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.quadrature == "simpson" and self.m % 2 == 0:
-            raise ValueError("composite Simpson needs an odd grid size")
+            raise ParameterError(f"composite Simpson needs an odd grid size, got {self.m}")
 
     def grid(self, m: int | None = None) -> np.ndarray:
         return np.linspace(self.a, self.b, self.m if m is None else m)

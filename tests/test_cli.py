@@ -327,6 +327,14 @@ class TestInputEdges:
         (["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.1", "--s", "3",
           "--kernel", "sin(x)", "--m", "9", "--check-kernel", "0"],
          "sample count must be >= 1, got 0"),
+        # IntegralProblem's checks printed a ValueError traceback and exited 1
+        (["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.01", "--s", "1",
+          "--kernel", "sin(x)"], "coefficient s must be > 1, got 1.0"),
+        (["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.01", "--s", "3",
+          "--kernel", "sin(x)", "--m", "1"], "grid size must be >= 2, got 1"),
+        (["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.01", "--s", "3",
+          "--kernel", "sin(x)", "--quadrature", "simpson", "--m", "64"],
+         "composite Simpson needs an odd grid size, got 64"),
     ])
     def test_out_of_range_parameter_is_input_error(self, argv, message, capsys):
         assert dispatch(argv) == 2

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contractum.errors import ExpressionError, NumericError
+from contractum.errors import ExpressionError, NumericError, ParameterError
 from contractum.expressions import compile_expression
 from contractum.fixtures import SIN_KERNEL_SCALE, integral_sin_problem, sin_kernel
 from contractum.integral import (
@@ -51,6 +51,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             IntegralProblem(a=0, b=1, lam=0.1, kernel=sin_kernel, s=3, m=10,
                             quadrature="simpson")
+
+    @pytest.mark.parametrize("options", [{"s": 1.0}, {"s": float("nan")}, {"m": 1},
+                                         {"m": 10, "quadrature": "simpson"}])
+    def test_out_of_range_parameter_is_parameter_error(self, options):
+        # a ParameterError, so the CLI reports it as malformed input (exit 2)
+        with pytest.raises(ParameterError):
+            IntegralProblem(**{"a": 0, "b": 1, "lam": 0.1, "kernel": sin_kernel, "s": 3,
+                               **options})
 
     def test_metric_is_powered_sup(self):
         prob = integral_sin_problem(m=5)
