@@ -52,15 +52,6 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 
-_VARIANTS = {
-    "typeF": Variant.TYPE_F,
-    "typeIm": Variant.TYPE_IM,
-    "kannan": Variant.KANNAN,
-    "reich": Variant.REICH,
-    "beta": Variant.BETA_COMBO,
-}
-
-
 def _manifest(args: argparse.Namespace, elapsed: float) -> dict:
     inputs = {}
     for key, value in sorted(vars(args).items()):
@@ -321,7 +312,6 @@ def _cmd_min_s(args) -> tuple[int, dict, list[str]]:
 
 
 def _build_check_spec(args, fixture) -> ContractionSpec:
-    variant = _VARIANTS[args.variant]
     if (args.F is None) != (args.phi is None):
         raise ContractumError("--F and --phi must be given together")
     if args.F is None:
@@ -339,7 +329,7 @@ def _build_check_spec(args, fixture) -> ContractionSpec:
             betas = tuple(float(p) for p in parts)
         except ValueError:
             raise ContractumError(f"--betas needs four numbers, got {args.betas!r}") from None
-    return ContractionSpec(variant=variant, s=args.s, pair=pair,
+    return ContractionSpec(variant=Variant(args.variant), s=args.s, pair=pair,
                            betas=betas, tau=args.tau)
 
 
@@ -622,8 +612,15 @@ class _ConfigGiven(Exception):
 
 
 class _ConfigAction(argparse.Action):
+    """--config PATH; ``const`` is the path of the config the parser applies
+    (None on the shared parser), and a second, different path is an error."""
+
     def __call__(self, parser, namespace, values, option_string=None):
-        raise _ConfigGiven(values)
+        if self.const is None:
+            raise _ConfigGiven(values)
+        if values != self.const:
+            raise ContractumError(f"--config given twice: {self.const!r}, {values!r}")
+        setattr(namespace, self.dest, values)
 
 
 def _build_parser(config: str | None = None) -> argparse.ArgumentParser:
@@ -636,9 +633,8 @@ def _build_parser(config: str | None = None) -> argparse.ArgumentParser:
                         help="machine-readable JSON report on stdout")
     # argparse resolves every spelling (--config=PATH, a unique prefix) to
     # this action, before the subcommand's own flags are parsed
-    parser.add_argument("--config", type=str, default=None,
-                        action=_ConfigAction if config is None else "store",
-                        help="JSON file supplying default values for any flag")
+    parser.add_argument("--config", type=str, default=None, action=_ConfigAction,
+                        const=config, help="JSON file supplying default values for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate-space", help="check the b-rectangular axioms of a table")
@@ -666,7 +662,7 @@ def _build_parser(config: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=32,
                    help="interval sample size when using a fixture")
     p.add_argument("--map", type=str, default=None, help="map name or expression in x")
-    p.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
+    p.add_argument("--variant", choices=sorted(v.value for v in Variant), required=True)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--F", type=str, default=None, help="F name or expression in t")
     p.add_argument("--phi", type=str, default=None, help="phi name or expression in t")
@@ -735,10 +731,29 @@ def _shared_parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
+def _config_value(key: str, action: argparse.Action, value):
+    """The config's value for the flag of action, converted and checked as
+    the flag's text on the command line is: a switch such as --json takes
+    true or false, any other flag a string or a number (its decimal text)."""
+    try:
+        if type(value) is bool and action.nargs == 0:
+            return value
+        if type(value) in (str, int, float) and action.nargs != 0:
+            text = value if type(value) is str else repr(value)
+            converted = action.type(text) if action.type else text
+            if action.choices is None or converted in action.choices:
+                return converted
+    except ValueError:
+        pass
+    listed = ", ".join(map(json.dumps, action.choices or ()))
+    raise ContractumError(f"config key {key!r} has an invalid value {json.dumps(value)}"
+                          + (f" (choose from {listed})" if listed else ""))
+
+
 def _apply_config(parser: argparse.ArgumentParser, subparsers, path: str) -> None:
-    """Make the values of the JSON object in path the defaults of the flags
-    they name. A key is a flag name (lambda, max-iter) or a dest (lam,
-    max_iter); a key that names no flag of any command is an error."""
+    """Make the values of the JSON object in path, checked by _config_value,
+    the defaults of the flags they name. A key is a flag name (lambda, max-iter)
+    or a dest (lam, max_iter); a key that names no flag of any command is an error."""
     config = read_json(Path(path).read_text(), ContractumError)
     if not isinstance(config, dict):
         raise ContractumError("config file must hold a JSON object of flag values")
@@ -751,7 +766,8 @@ def _apply_config(parser: argparse.ArgumentParser, subparsers, path: str) -> Non
                 names.update((o.lstrip("-"), action) for o in action.option_strings)
         matched = {k: names[k] for k in config if k in names}
         used.update(matched)
-        p.set_defaults(**{action.dest: config[k] for k, action in matched.items()})
+        p.set_defaults(**{action.dest: _config_value(k, action, config[k])
+                          for k, action in matched.items()})
         # subparsers parse into a fresh namespace, so defaults go on their
         # own actions; a value from the config also satisfies a required
         # flag of a command
@@ -776,10 +792,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         code, report, lines = args.func(args)
         _emit(args, report, lines, elapsed=time.perf_counter() - start)
         return code
-    except ContractumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ContractumError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

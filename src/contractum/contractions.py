@@ -1,23 +1,29 @@
 """Contraction inequality checking for a self-map over a finite space or
 a sampled continuous domain.
 
-Five inequality variants are supported. With d' = d(Tx, Ty), the guard
-d' > 0 must hold for a pair to be testable (otherwise the verdict is
-vacuous), and then:
+Each variant is one row of ``_CONDITIONS``. A pair is vacuous unless
+d' = d(Tx, Ty) > 0; else it holds iff F(s^power * d') + phi(d(x, y)) <=
+F(A), where the row's ``rhs(d(x,y), mx, my, d(y,Tx), betas, top)`` gives
 
-* type-F:      F(s * d')  + phi(d(x,y)) <= F(d(x, y))
-* type-Im:     F(s^2 * d') + phi(d(x,y)) <= F(M(x, y))
-* Kannan:      F(s^2 * d') + phi(d(x,y)) <= F((d(x,Tx) + d(y,Ty)) / 2)
-* Reich:       F(s^2 * d') + phi(d(x,y)) <= F((d(x,y) + d(x,Tx) + d(y,Ty)) / 3)
-* beta-combo:  F(s^2 * d') + phi(d(x,y)) <= F(b1 d(x,y) + b2 d(Tx,x)
-                                               + b3 d(Ty,y) + b4 d(y,Tx))
+* typeF  (power 1, symmetric):          A = d(x, y)
+* typeIm (power 2):                     A = max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}
+* kannan (power 2, guarded, symmetric): A = (d(x,Tx) + d(y,Ty)) / 2
+* reich  (power 2, guarded, symmetric): A = (d(x,y) + d(x,Tx) + d(y,Ty)) / 3
+* beta   (power 2, guarded, from_image): A = b1 d(x,y) + b2 d(Tx,x) + b3 d(Ty,y) + b4 d(y,Tx)
 
-where M(x, y) = max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}. A margin of
-rhs - lhs >= -1e-9 counts as holding (F compositions amplify rounding near
-small distances); reported margins are raw.
+mx and my are the displacements of x and y: d(p, Tp), or d(Tp, p) for a
+row with ``from_image``, as the beta formula is written. ``top`` is
+``max`` for floats and a reduction with np.maximum for arrays, so one
+formula gives both paths the same bits and keeps Fractions exact. For a
+``guarded`` row a vanishing A is vacuous, as F is undefined at 0; for the
+others it raises. A ``symmetric`` row's A does not change when x and y
+swap, in exact arithmetic (in floats Reich's sum can move by an ulp), so
+the orientation (x, y) in loop order decides the pair, and d(y, Tx) is
+not passed; the other rows are checked in both orientations of every
+unordered pair.
 
-M and the beta combination are not symmetric in (x, y), so those variants
-are checked in both orientations of every unordered pair.
+A margin of rhs - lhs >= -1e-9 counts as holding (F compositions amplify
+rounding near small distances); reported margins are raw.
 
 check_pair is the one-pair reference: T applied to both points, then the
 scalar verdict _verdict. verify_over_finite and verify_over_sample give
@@ -75,10 +81,24 @@ class Variant(str, Enum):
     BETA_COMBO = "beta"
 
 
-#: variants whose right-hand side is not symmetric under swapping x and y
-_ASYMMETRIC = frozenset({Variant.TYPE_IM, Variant.BETA_COMBO})
-#: variants for which a vanishing right-hand argument is vacuous, not an error
-_GUARDED = frozenset({Variant.KANNAN, Variant.REICH, Variant.BETA_COMBO})
+@dataclass(frozen=True)
+class _Condition:
+    rhs: Callable
+    power: int = 2
+    guarded: bool = False
+    symmetric: bool = True
+    from_image: bool = False
+
+
+_CONDITIONS: dict[Variant, _Condition] = {
+    Variant.TYPE_F: _Condition(lambda d, mx, my, c, b, top: d, power=1),
+    Variant.TYPE_IM: _Condition(lambda d, mx, my, c, b, top: top(d, mx, my, c), symmetric=False),
+    Variant.KANNAN: _Condition(lambda d, mx, my, c, b, top: (mx + my) / 2, guarded=True),
+    Variant.REICH: _Condition(lambda d, mx, my, c, b, top: (d + mx + my) / 3, guarded=True),
+    Variant.BETA_COMBO: _Condition(
+        lambda d, mx, my, c, b, top: b[0] * d + b[1] * mx + b[2] * my + b[3] * c,
+        guarded=True, symmetric=False, from_image=True),
+}
 
 
 class Status(str, Enum):
@@ -150,63 +170,41 @@ def _apply_map(space, T, x):
     return tx
 
 
-def _rhs_argument(variant: Variant, d, moved, x, y, tx, ty, betas=None) -> float:
-    if variant is Variant.TYPE_F:
-        return d(x, y)
-    if variant is Variant.TYPE_IM:
-        return max(d(x, y), moved(x, tx), moved(y, ty), d(y, tx))
-    if variant is Variant.KANNAN:
-        return (moved(x, tx) + moved(y, ty)) / 2.0
-    if variant is Variant.REICH:
-        return (d(x, y) + moved(x, tx) + moved(y, ty)) / 3.0
-    b1, b2, b3, b4 = betas
-    return b1 * d(x, y) + b2 * moved(x, tx) + b3 * moved(y, ty) + b4 * d(y, tx)
-
-
 def check_pair(spec: ContractionSpec, space, T: Callable, x, y, *,
                tol: float = MARGIN_TOL) -> PairVerdict:
-    """Verdict for one ordered pair.
-
-    Vacuous when the guard d(Tx, Ty) > 0 fails; for the Kannan, Reich and
-    beta-combo variants a zero right-hand-side argument (both points fixed,
-    or all weight on vanishing displacements) is also vacuous because F is
-    undefined at 0. A nonpositive F argument in any non-vacuous position
-    raises FunctionDomainError carrying (x, y, argument).
-    """
+    """Verdict for one ordered pair: vacuous when the guard d(Tx, Ty) > 0
+    fails, or a guarded row's argument A vanishes. A nonpositive F or phi
+    argument in any other case raises FunctionDomainError carrying (x, y,
+    argument)."""
     tx = _apply_map(space, T, x)
     ty = _apply_map(space, T, y)
     d = space.distance
-    moved = (lambda p, tp: d(tp, p)) if spec.variant is Variant.BETA_COMBO else d
+    moved = (lambda p, tp: d(tp, p)) if _CONDITIONS[spec.variant].from_image else d
     return PairVerdict(x, y, *_verdict(spec, d, moved, x, y, tx, ty, tol))
 
 
 def _verdict(spec: ContractionSpec, d, moved, x, y, tx, ty,
              tol: float) -> tuple[Status, float | None, float | None]:
     """Status, lhs and rhs of the pair (x, y) with images tx and ty, from
-    the scalar distance d and moved(p, Tp), the displacement d(p, Tp), or
-    d(Tp, p) for the beta combination, as its formula reads. check_pair
-    and the block path share it."""
+    the scalar distance d and moved(p, Tp), the displacement of p as the
+    row reads it. check_pair and the block path share it."""
     d_txy = d(tx, ty)
     if d_txy <= GUARD_TOL:
         return Status.VACUOUS, None, None
 
-    arg = _rhs_argument(spec.variant, d, moved, x, y, tx, ty, spec.betas)
-    if spec.variant in _GUARDED:
-        if arg <= GUARD_TOL:
-            return Status.VACUOUS, None, None
-    elif arg <= 0:
-        raise FunctionDomainError(
-            f"F argument {arg!r} is not positive for pair ({x!r}, {y!r})",
-            argument=arg, context=(x, y, arg))
-
+    row = _CONDITIONS[spec.variant]
     d_xy = d(x, y)
-    if d_xy <= 0:
+    arg = row.rhs(d_xy, moved(x, tx), moved(y, ty), None if row.symmetric else d(y, tx),
+                  spec.betas, max)
+    if row.guarded and arg <= GUARD_TOL:
+        return Status.VACUOUS, None, None
+    if arg <= 0 or d_xy <= 0:
+        name, value = ("F", arg) if arg <= 0 else ("phi", d_xy)
         raise FunctionDomainError(
-            f"phi argument {d_xy!r} is not positive for pair ({x!r}, {y!r})",
-            argument=d_xy, context=(x, y, d_xy))
+            f"{name} argument {value!r} is not positive for pair ({x!r}, {y!r})",
+            argument=value, context=(x, y, value))
 
-    scale = spec.s if spec.variant is Variant.TYPE_F else spec.s ** 2
-    lhs = spec.pair.F(scale * d_txy)
+    lhs = spec.pair.F(spec.s ** row.power * d_txy)
     rhs = spec.pair.F(arg) - spec.phi(d_xy)
     return (Status.HOLDS if rhs - lhs >= -tol else Status.VIOLATED), lhs, rhs
 
@@ -314,29 +312,18 @@ def _orientation_codes(spec: ContractionSpec, tol: float, d_xy, d_txty,
                        d_xtx, d_yty, d_ytx) -> tuple[np.ndarray, np.ndarray]:
     """Status codes of one orientation (x, y) over a block, and the mask of
     pairs near a threshold, whose status the scalar verdict decides."""
-    variant = spec.variant
-    if variant is Variant.TYPE_F:
-        arg = d_xy
-    elif variant is Variant.TYPE_IM:
-        arg = np.maximum(np.maximum(np.maximum(d_xy, d_xtx), d_yty), d_ytx)
-    elif variant is Variant.KANNAN:
-        arg = (d_xtx + d_yty) / 2.0
-    elif variant is Variant.REICH:
-        arg = (d_xy + d_xtx + d_yty) / 3.0
-    else:
-        b1, b2, b3, b4 = spec.betas
-        arg = b1 * d_xy + b2 * d_xtx + b3 * d_yty + b4 * d_ytx
+    row = _CONDITIONS[spec.variant]
+    arg = row.rhs(d_xy, d_xtx, d_yty, d_ytx, spec.betas, lambda *a: np.maximum.reduce(a))
     vacuous = d_txty <= GUARD_TOL
     near = _near(d_txty, GUARD_TOL)
-    if variant in _GUARDED:
+    if row.guarded:
         vacuous |= arg <= GUARD_TOL
         near |= _near(arg, GUARD_TOL)
     live = ~(vacuous | near)
     arg, d_xy, d_txty = arg[live], d_xy[live], d_txty[live]
-    if (d_xy <= 0).any() or (variant not in _GUARDED and (arg <= 0).any()):
+    if (d_xy <= 0).any() or (not row.guarded and (arg <= 0).any()):
         raise _Reference
-    scale = spec.s if variant is Variant.TYPE_F else spec.s ** 2
-    lhs = array_values(spec.pair.F, scale * d_txty)
+    lhs = array_values(spec.pair.F, spec.s ** row.power * d_txty)
     f_arg = array_values(spec.pair.F, arg)
     phi = array_values(spec.phi, d_xy)
     margin = (f_arg - phi) - lhs
@@ -355,27 +342,25 @@ def _array_block(spec: ContractionSpec, tol: float, frame: _Frame, i: np.ndarray
     each violation, in loop order."""
     dist, coord, image = frame.dist, frame.coord, frame.image
     x, y, tx, ty = coord[i], coord[j], image[i], image[j]
-    asymmetric = spec.variant in _ASYMMETRIC
+    row = _CONDITIONS[spec.variant]
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         d_xy, d_txty = dist(x, y), dist(tx, ty)
         d_xtx, d_yty = frame.moved[i], frame.moved[j]
         found = [_orientation_codes(spec, tol, d_xy, d_txty, d_xtx, d_yty,
-                                    dist(y, tx) if asymmetric else None)]
-        if asymmetric:
+                                    None if row.symmetric else dist(y, tx))]
+        if not row.symmetric:
             found.append(_orientation_codes(spec, tol, d_xy, d_txty, d_yty, d_xtx,
                                             dist(x, ty)))
-    codes = np.array([c for c, _ in found])
-    near = np.array([n for _, n in found])
+    codes, near = map(np.array, zip(*found))
     k, swapped = np.nonzero(near.T | (codes.T == _VIOLATED))
     first = np.where(swapped, j[k], i[k]).tolist()
     second = np.where(swapped, i[k], j[k]).tolist()
     points, target, d, displaced = frame.points, frame.target, frame.scalar, frame.displaced
-    beta = spec.variant is Variant.BETA_COMBO
 
     def moved(p, tp):
         value = displaced.get(p)
         if value is None:
-            value = displaced[p] = d(tp, p) if beta else d(p, tp)
+            value = displaced[p] = d(tp, p) if row.from_image else d(p, tp)
         return value
 
     for pair, orientation, a, b in zip(k.tolist(), swapped.tolist(), first, second):
@@ -391,11 +376,12 @@ def _reference_block(spec: ContractionSpec, space, T: Callable, tol: float, poin
                      verdicts: list | None) -> np.ndarray:
     """The reference loop: check_pair on each pair in turn, both
     orientations for the asymmetric variants."""
+    symmetric = _CONDITIONS[spec.variant].symmetric
     codes = np.empty(len(i), dtype=np.uint8)
     for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
         x, y = points[a], points[b]
         found = [check_pair(spec, space, T, x, y, tol=tol)]
-        if spec.variant in _ASYMMETRIC:
+        if not symmetric:
             found.append(check_pair(spec, space, T, y, x, tol=tol))
         codes[k] = max(_CODE[v.status] for v in found)
         violations.extend(v for v in found if v.status is Status.VIOLATED)

@@ -1,5 +1,6 @@
 """The CLI parser: built once per process for argv without --config, a
-parser of its own for each --config run, and every --config spelling."""
+parser of its own for each --config run, every --config spelling, and
+config values checked as command-line values are."""
 
 import json
 import os
@@ -15,6 +16,7 @@ from contractum.cli import dispatch
 HALVE = ["iterate", "--domain", "interval:0,1", "--map", "x/2", "--x0", "0.5"]
 INTEGRAL = ["solve-integral", "--a", "0", "--b", "1", "--lambda", "0.01", "--s", "3",
             "--kernel", "sin(x)", "--m", "9"]
+CHECK = ["check", "--fixture", "example-3.4", "--variant", "typeF", "--grid", "8"]
 
 
 def run(capsys, argv):
@@ -99,6 +101,67 @@ class TestConfigKeys:
         code, out, err = run(capsys, ["--config", config({"tol": 0.01, key: 1}), *HALVE])
         assert (code, out) == (2, "")
         assert err == f"error: config key {key!r} names no flag of any command\n"
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("values, argv, message", [
+        ({"variant": "bogus"}, CHECK[:3], 'config key \'variant\' has an invalid value "bogus" '
+         '(choose from "beta", "kannan", "reich", "typeF", "typeIm")'),
+        ({"quadrature": "bogus"}, INTEGRAL, 'config key \'quadrature\' has an invalid value '
+         '"bogus" (choose from "trapezoid", "simpson")'),
+        ({"tol": [1]}, HALVE, "config key 'tol' has an invalid value [1]"),
+        ({"tol": None}, HALVE, "config key 'tol' has an invalid value null"),
+        ({"tol": "small"}, HALVE, 'config key \'tol\' has an invalid value "small"'),
+        ({"grid": 2.5}, CHECK, "config key 'grid' has an invalid value 2.5"),
+        ({"max-iter": 1e3}, HALVE, "config key 'max-iter' has an invalid value 1000.0"),
+        ({"s": True}, CHECK, "config key 's' has an invalid value true"),
+        ({"verbose": 1}, CHECK, "config key 'verbose' has an invalid value 1"),
+        ({"json": "yes"}, HALVE, 'config key \'json\' has an invalid value "yes"'),
+    ])
+    def test_bad_value_is_input_error(self, values, argv, message, config, capsys):
+        # each used to raise out of dispatch (exit 1) or, for s, run at s = 1
+        code, out, err = run(capsys, ["--config", config(values), *argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("values, flags", [
+        ({"tol": 0.01, "max-iter": 100, "s": 2, "x0": "0.5"},
+         ["--tol", "0.01", "--max-iter", "100", "--s", "2", "--x0", "0.5"]),
+        ({"tol": "0.01", "max_iter": "100", "s": "2", "x0": 0.25},
+         ["--tol", "0.01", "--max-iter", "100", "--s", "2", "--x0", "0.25"]),
+    ])
+    def test_value_reads_as_the_flag_would(self, values, flags, config, capsys):
+        def unclocked(argv):
+            code, out, err = run(capsys, ["--json", *argv])
+            return code, re.sub(r'"wall_clock_s": .*', "", out), err
+
+        flagged = unclocked([*HALVE[:-2], *flags])
+        assert flagged[0] == 0
+        assert unclocked(["--config", config(values), *HALVE[:-2]]) == flagged
+
+    def test_choice_and_switch_values(self, config, capsys):
+        path = config({"variant": "kannan", "verbose": True})
+        out = report(capsys, ["--config", path, *CHECK[:3], "--grid", "8"])
+        assert out["manifest"]["inputs"]["variant"] == "kannan"
+        assert "verdicts" in out["report"]
+
+
+class TestRepeatedConfig:
+    def test_second_path_is_input_error(self, tmp_path, capsys):
+        # it used to apply the first file and ignore the second
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text('{"tol": 0.01}')
+        second.write_text('{"tol": 0.1}')
+        for argv in (["--config", str(first), "--config", str(second)],
+                     [f"--config={first}", "--conf", str(second)]):
+            code, out, err = run(capsys, [*argv, *HALVE])
+            assert (code, out) == (2, "")
+            assert err == f"error: --config given twice: {str(first)!r}, {str(second)!r}\n"
+
+    def test_same_path_twice_applies_it(self, config, capsys):
+        path = config({"tol": 0.01})
+        argv = ["--config", path, f"--config={path}", *HALVE]
+        assert report(capsys, argv)["report"]["iterations"] == 5
 
 
 class TestParserReuse:

@@ -7,7 +7,7 @@ from contractum.contractions import (
     ContractionSpec,
     Status,
     Variant,
-    _rhs_argument,
+    _CONDITIONS,
     check_pair,
     verify_over_finite,
     verify_over_sample,
@@ -59,9 +59,11 @@ class TestSpecValidation:
 
 
 def m_value(space, T, x, y):
-    """The comparison maximum max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}."""
+    """The comparison maximum max{d(x,y), d(x,Tx), d(y,Ty), d(y,Tx)}: the
+    right-hand argument of the type-Im row."""
     d = space.distance
-    return _rhs_argument(Variant.TYPE_IM, d, d, x, y, T(x), T(y))
+    tx, ty = T(x), T(y)
+    return _CONDITIONS[Variant.TYPE_IM].rhs(d(x, y), d(x, tx), d(y, ty), d(y, tx), None, max)
 
 
 class TestMValue:
