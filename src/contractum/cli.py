@@ -19,8 +19,6 @@ import math
 import re
 import sys
 import time
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -79,99 +77,13 @@ def _sanitize(obj):
     return obj
 
 
-_LEAVES = frozenset({str, int, float, bool, type(None)})
-_STR = frozenset({str})
-_DICT = frozenset({dict})
-
-
 def _json_text(obj) -> str:
-    """``json.dumps(_sanitize(obj), indent=2, allow_nan=False, default=str)``,
-    the same text or the same error, in one pass and without a copy of obj.
-
-    With ``indent``, json encodes in pure Python; without it, in C. So a
-    dict or list whose keys are str and whose values are all of exact type
-    str, int, float, bool or None, or a list of such dicts, goes to a C
-    encoder whose item separator carries the newline and indentation of
-    its depth, and only the bracket lines are added. Other dicts and lists
-    recurse. A non-finite float
-    becomes its repr, as _sanitize makes it. Anything else (a tuple, a
-    subclass such as np.float64, a non-str key, an unknown object) goes to
-    the reference call, re-indented to its depth.
-    """
-    out: list[str] = []
-    encoders: list[json.JSONEncoder] = []  # one per depth, built once
-
-    def encode(obj, level):
-        """obj by the C encoder, items separated at depth level + 1; None
-        for a non-finite float or an int too long for str."""
-        while len(encoders) <= level:
-            encoders.append(json.JSONEncoder(
-                separators=(",\n" + "  " * (len(encoders) + 1), ": "), allow_nan=False))
-        try:
-            return encoders[level].encode(obj)
-        except ValueError:
-            return None
-
-    def reference(obj, newline):
-        text = json.dumps(_sanitize(obj), indent=2, allow_nan=False, default=str)
-        out.append(text.replace("\n", newline))
-
-    def emit(obj, level):
-        kind = type(obj)
-        if kind is str:
-            out.append(encode_basestring_ascii(obj))
-        elif kind is float:
-            out.append(repr(obj) if math.isfinite(obj) else encode_basestring_ascii(repr(obj)))
-        elif kind is bool:
-            out.append("true" if obj else "false")
-        elif kind is int:
-            out.append(repr(obj))
-        elif obj is None:
-            out.append("null")
-        elif kind is dict or kind is list:
-            container(obj, kind is dict, level)
-        else:
-            reference(obj, "\n" + "  " * level)
-
-    def container(obj, is_dict, level):
-        close = "\n" + "  " * level
-        if not obj:
-            out.append("{}" if is_dict else "[]")
-            return
-        if is_dict and not _STR.issuperset(map(type, obj)):
-            reference(obj, close)
-            return
-        inner = close + "  "
-        if _LEAVES.issuperset(map(type, obj.values() if is_dict else obj)):
-            text = encode(obj, level)
-            if text is not None:
-                out.extend((text[0], inner, text[1:-1], close, text[-1]))
-                return
-        elif not is_dict and _DICT.issuperset(map(type, obj)) and all(obj) and \
-                _STR.issuperset(map(type, chain.from_iterable(obj))) and \
-                _LEAVES.issuperset(map(type, chain.from_iterable(map(dict.values, obj)))):
-            # a list of flat dicts, such as check's violations, in one call:
-            # a "}" meets a separator only between two of the dicts, since
-            # their values are leaves and no JSON string holds a newline
-            text = encode(obj, level + 1)
-            if text is not None:
-                deeper = inner + "  "
-                text = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-                out.extend(("[", inner, "{", deeper, text, inner, "}", close, "]"))
-                return
-        out.append("{" if is_dict else "[")
-        separator = inner
-        for item in (obj.items() if is_dict else obj):
-            out.append(separator)
-            separator = "," + inner
-            if is_dict:
-                out.append(encode_basestring_ascii(item[0]) + ": ")
-                item = item[1]
-            emit(item, level + 1)
-        out.extend((close, "}" if is_dict else "]"))
-
-    emit(obj, 0)
-    return "".join(out)
+    """obj as one line of JSON; a non-finite float becomes its repr, as
+    _sanitize makes it, and an int too long for str still raises."""
+    try:
+        return json.dumps(obj, allow_nan=False, default=str)
+    except ValueError:
+        return json.dumps(_sanitize(obj), allow_nan=False, default=str)
 
 
 def _emit(args, report: dict, lines: list[str], elapsed: float) -> None:
@@ -761,7 +673,9 @@ def _apply_config(parser: argparse.ArgumentParser, subparsers, path: str) -> Non
     for p in (parser, *subparsers):
         names = {}
         for action in p._actions:
-            if action.default is not argparse.SUPPRESS:  # not --help
+            # not --help, the command or --config: a config cannot set them
+            if action.default is not argparse.SUPPRESS and \
+                    not isinstance(action, (argparse._SubParsersAction, _ConfigAction)):
                 names[action.dest] = action
                 names.update((o.lstrip("-"), action) for o in action.option_strings)
         matched = {k: names[k] for k in config if k in names}

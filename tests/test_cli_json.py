@@ -1,8 +1,10 @@
-"""The one-pass JSON emitter against the call it replaced.
+"""The --json report text against its definition.
 
-``reference`` is that call: ``json.dumps`` with ``indent=2`` (json's
-pure-Python encoder) over a sanitized copy of the payload. The emitter
-must print the same text, byte for byte, or raise the same error type.
+``reference`` is that definition: one line of ``json.dumps`` over a
+sanitized copy of the payload, in which inf and nan are strings. The
+emitter, which sanitizes only when the plain call meets a non-finite
+float, must give the same text, byte for byte, or raise the same error
+type.
 """
 
 import json
@@ -18,8 +20,9 @@ from contractum.cli import _json_text, dispatch
 
 
 def sanitize(obj):
-    """The sanitizing pass the CLI made before encoding: inf and nan
-    become their repr, tuples become lists, dicts are copied."""
+    """The sanitizing pass the CLI makes when a report holds a non-finite
+    float: inf and nan become their repr, tuples become lists, dicts are
+    copied."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
@@ -30,7 +33,7 @@ def sanitize(obj):
 
 
 def reference(obj) -> str:
-    return json.dumps(sanitize(obj), indent=2, allow_nan=False, default=str)
+    return json.dumps(sanitize(obj), allow_nan=False, default=str)
 
 
 def outcome(encode, obj):
@@ -151,4 +154,6 @@ def test_json_report_matches_reference(name, space_file, zero_distance_file, tmp
     monkeypatch.setattr(cli, "_json_text", lambda obj: payloads.append(obj) or _json_text(obj))
     dispatch(["--json"] + argv)
     assert len(payloads) == 1
-    assert capsys.readouterr().out == reference(payloads[0]) + "\n"
+    out = capsys.readouterr().out
+    assert out == reference(payloads[0]) + "\n"
+    assert len(out.splitlines()) == 1

@@ -96,7 +96,9 @@ class TestConfigKeys:
         path = config({"kernel": "sin(x)", "tol": 0.01})
         assert report(capsys, ["--config", path, *HALVE])["report"]["iterations"] == 5
 
-    @pytest.mark.parametrize("key", ["tolerance", "func", "help", "--tol"])
+    # command (the subcommand's dest) and config used to be accepted: the
+    # first then failed as a missing command, the second was ignored
+    @pytest.mark.parametrize("key", ["tolerance", "func", "help", "--tol", "command", "config"])
     def test_unknown_key_is_input_error(self, key, config, capsys):
         code, out, err = run(capsys, ["--config", config({"tol": 0.01, key: 1}), *HALVE])
         assert (code, out) == (2, "")
@@ -133,7 +135,7 @@ class TestConfigValues:
     def test_value_reads_as_the_flag_would(self, values, flags, config, capsys):
         def unclocked(argv):
             code, out, err = run(capsys, ["--json", *argv])
-            return code, re.sub(r'"wall_clock_s": .*', "", out), err
+            return code, re.sub(r'"wall_clock_s": [^,}]*', "", out), err
 
         flagged = unclocked([*HALVE[:-2], *flags])
         assert flagged[0] == 0
@@ -224,7 +226,7 @@ class TestParserReuse:
         ]
         def unclocked(argv):
             code, out, err = run(capsys, argv)
-            return code, re.sub(r'"wall_clock_s": .*', "", out), err
+            return code, re.sub(r'"wall_clock_s": [^,}]*', "", out), err
 
         shared = [unclocked(argv) for argv in argvs]
         fresh = []

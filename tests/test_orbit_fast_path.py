@@ -42,7 +42,7 @@ def _run(argv, tmp: Path, checked: bool):
             mp.setattr(cli, "abs_distance", lambda x, y: abs(x - y))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = dispatch(["--json", "iterate", *argv, "--trace", str(trace)])
-    text = re.sub(r'"wall_clock_s": [^\n]*', "", out.getvalue())
+    text = re.sub(r'"wall_clock_s": [^,}]*', "", out.getvalue())
     return code, text, err.getvalue(), trace.read_bytes() if trace.exists() else None
 
 

@@ -10,8 +10,11 @@ that both checkouts see the same files and argv. Then, for each checkout
 in turn, a fresh interpreter runs every job in-process through that
 checkout's ``contractum.cli.dispatch``, in the order perfbench/run.py
 runs them. A job's outcome is its exit code (or the exception it
-raised), its stdout with the manifest's ``wall_clock_s`` masked, its
-stderr, and the files it wrote.
+raised), its stdout, its stderr, and the files it wrote. The stdout is
+compared with the manifest's ``wall_clock_s`` masked and, when it parses
+as JSON, by its value: as ``json.dumps`` writes it on one line, in its key
+order and with its float reprs, so that a report in another layout (such
+as ``indent=2``) matches the same report on one line.
 
 Prints one line per workload and exits 0 when every job matches; else
 names the first job that differs, and what differs, and exits 1.
@@ -38,6 +41,15 @@ PARTS = ("exit code", "stdout", "stderr", "written files")
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_text(stdout: str) -> str:
+    """stdout with the wall clock masked; a JSON stdout re-serialized."""
+    text = WALL_CLOCK.sub('"wall_clock_s": 0', stdout)
+    try:
+        return json.dumps(json.loads(text))
+    except ValueError:
+        return text
 
 
 def outcomes(root: Path, perfbench: Path, workdir: Path, workload: str, seed: int,
@@ -68,7 +80,7 @@ def outcomes(root: Path, perfbench: Path, workdir: Path, workload: str, seed: in
             files.append(path.read_text() if path.exists() else None)
             path.unlink(missing_ok=True)
         found.append({"cls": job.cls, "argv": job.argv, "outcome": [
-            repr(code), digest(WALL_CLOCK.sub('"wall_clock_s": 0', stdout.getvalue())),
+            repr(code), digest(report_text(stdout.getvalue())),
             digest(stderr.getvalue()), digest(json.dumps(files))]})
     return found
 
